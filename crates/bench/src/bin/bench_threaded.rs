@@ -1,5 +1,5 @@
 //! Shared-memory solver benchmark: subtree-mapped executor vs the
-//! pre-rewrite fork-join baseline vs the sequential solver.
+//! sequential solver.
 //!
 //! Measures forward+backward wall-clock on grid Laplacians for several
 //! RHS widths, sweeping the executor width over 1, 2, 4, and the machine
@@ -10,7 +10,6 @@
 //!
 //! Run: `cargo run --release -p trisolv-bench --bin bench_threaded`
 
-use trisolv_bench::forkjoin;
 use trisolv_bench::timing::{measure, stats_json, Json, Stats};
 use trisolv_core::{seq, ThreadedSolver};
 use trisolv_factor::seqchol::{analyze_with_perm, factor_supernodal};
@@ -77,17 +76,9 @@ fn main() {
         let f = factor(&case.matrix);
         let b = gen::random_rhs(f.n(), case.nrhs, 42);
 
-        // correctness gates before timing anything
         let expect = seq::forward_backward(&f, &b);
-        let err_fj = forkjoin::forward_backward(&f, &b)
-            .max_abs_diff(&expect)
-            .expect("same shape");
-        assert!(err_fj < 1e-12, "{}: baseline diverges", case.name);
-
         let s_seq = measure(10, 1.0, || seq::forward_backward(&f, &b));
-        let s_fj = measure(10, 1.0, || forkjoin::forward_backward(&f, &b));
         row(case.name, "sequential", s_seq, None);
-        row(case.name, "forkjoin(seed)", s_fj, Some(s_seq.min));
 
         let mut sweep_json = Vec::new();
         let mut s_max: Option<Stats> = None;
@@ -128,11 +119,7 @@ fn main() {
             }
         }
         let s_best = s_max.expect("sweep ran");
-        println!(
-            "{:28} subtree-map(t={hw}) vs forkjoin: {:.2}x\n",
-            "",
-            s_fj.min / s_best.min
-        );
+        println!();
 
         out.push(Json::obj(vec![
             ("case", Json::Str(case.name.to_string())),
@@ -141,10 +128,8 @@ fn main() {
             ("nrhs", Json::Int(case.nrhs as i64)),
             ("executor_threads", Json::Int(hw as i64)),
             ("sequential", stats_json(s_seq)),
-            ("forkjoin_seed", stats_json(s_fj)),
             ("subtree_mapped", stats_json(s_best)),
             ("speedup_vs_seq", Json::Num(s_seq.min / s_best.min)),
-            ("speedup_vs_forkjoin", Json::Num(s_fj.min / s_best.min)),
             ("thread_sweep", Json::Arr(sweep_json)),
         ]));
     }

@@ -1,10 +1,10 @@
 //! Distributed solve tier: a sharded, replicated router in front of a
 //! fleet of `trisolv serve` backends.
 //!
-//! The router speaks the same protocol v3 as a single server — any
-//! existing client points at it unchanged — and shards *matrices* (not
-//! connections) across backends with a consistent-hash ring keyed on the
-//! matrix fingerprint. Each factor is `LOAD`ed on `R` replicas; `SOLVE`s
+//! The router faces clients through the server's own front end
+//! (`trisolv_server::front`) — any existing client points at it
+//! unchanged — and shards *matrices* (not connections) across backends
+//! with a consistent-hash ring keyed on the matrix fingerprint. Each factor is `LOAD`ed on `R` replicas; `SOLVE`s
 //! go to the first healthy replica and deterministically fail over to the
 //! next on shed (`ERR Busy`), stall (`ERR Timeout` / backstop expiry), a
 //! stale cache (`ERR UnknownFingerprint`), or connection loss. A per-

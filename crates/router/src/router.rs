@@ -1,31 +1,27 @@
 //! The router proper: a protocol-v4 proxy event loop with consistent-hash
 //! placement, replication, deterministic failover, and hedged dispatch.
 //!
-//! One loop thread owns every socket — the client-facing listener plus one
-//! outbound connection per backend — through the same [`poller`] /
-//! [`Conn`] machinery as the server front end (reused, not forked; the
-//! backend side uses [`Conn::enqueue`] for requests and the incremental
-//! frame parser for replies). There is no worker pool: proxying is cheap.
+//! One loop thread owns every socket. The client-facing half — listener,
+//! client connections, framing, `HELLO` negotiation, v4 envelope checks,
+//! slow-peer deadlines, shutdown drain — is the server's own [`Front`], so
+//! clients of every protocol version see exactly what `trisolv serve`
+//! would show them. The backend half appends one outbound [`Conn`] per
+//! backend to the same poll set (requests go out through
+//! [`Conn::enqueue`], replies come back through the incremental frame
+//! parser). There is no worker pool: proxying is cheap.
 //!
-//! Every backend connection opens with a `HELLO` handshake. A v4 backend
-//! gets enveloped frames (64-bit wire request id + payload checksum
-//! trailer): replies correlate through a per-connection id map, may land
-//! out of order, and a hung reply expires *alone* instead of condemning
-//! the connection. A reply whose checksum fails is counted
+//! Every backend connection opens with a `HELLO` handshake and must settle
+//! on v4: enveloped frames (64-bit wire request id + payload checksum
+//! trailer) whose replies correlate through a per-connection id map, may
+//! land out of order, and expire *alone* instead of condemning the
+//! connection. A reply whose checksum fails is counted
 //! (`router_crc_rejects`) and dropped — its id is untrustworthy — and the
 //! sub-request runs into its own expiry. A reply that correlates to
 //! nothing (duplicate, or late after its sub expired) is counted
 //! (`router_orphan_replies`) and dropped; the connection keeps serving. A
-//! backend that answers the handshake with `ERR UnknownOpcode` is a
-//! legacy (≤ v3) peer: it keeps the plain framing and the strict-FIFO
-//! correlation, where a blown reply deadline still condemns the whole
-//! connection (FIFO matching cannot skip a reply).
-//!
-//! The same envelope is offered to clients: a client that opens with
-//! `HELLO` gets v4 framing end-to-end (ids echoed verbatim, checksummed
-//! both ways — a corrupt request is refused with `ERR Corrupt` and the
-//! connection survives); clients that skip the handshake keep the legacy
-//! protocol byte-for-byte.
+//! backend that refuses the handshake (`ERR UnknownOpcode`, a pre-v4 peer)
+//! or offers less than v4 counts as a failed connection: it never receives
+//! a sub-request, and its breaker keeps probing.
 //!
 //! Hedged SOLVE (DESIGN.md §18): once a forwarded SOLVE outlives an
 //! adaptive per-backend threshold — `max(`windowed p99 of that backend's
@@ -58,7 +54,7 @@
 //! instead of burning a backend on a doomed request. `retry_after_ms`
 //! hints survive the trip back verbatim.
 //!
-//! [`poller`]: trisolv_server::poller
+//! [`Front`]: trisolv_server::front::Front
 //! [`Conn`]: trisolv_server::conn::Conn
 //! [`Conn::enqueue`]: trisolv_server::conn::Conn::enqueue
 
@@ -67,19 +63,20 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use trisolv_server::conn::{Conn, FrameStep, Outcome, ReadStatus};
-use trisolv_server::poller::{self, Interest, PollFd, Waker};
+use trisolv_server::front::{self, Front, FrontOptions, FrontStats};
+use trisolv_server::poller::{self, Interest, Mailbox, PollFd, Waker};
 use trisolv_server::protocol::{
-    encode_frame, err_payload, op, parse_err, unwrap_v4, v4_req_id_hint, wrap_v4, write_frame,
-    Builder, Cursor, ErrorCode, MAX_FRAME_LEN, PROTOCOL_VERSION,
+    effective_budget, encode_frame, err_payload, op, parse_err, unwrap_v4, wrap_v4, Builder,
+    Cursor, ErrorCode, PROTOCOL_VERSION,
 };
-use trisolv_server::Fingerprint;
+use trisolv_server::{FaultPlan, Fingerprint};
 
-use crate::backend::{Backend, Proto, Retained, SubReq};
+use crate::backend::{Backend, Retained, SubReq};
 use crate::ring::Ring;
 
 /// Router configuration.
@@ -150,6 +147,12 @@ struct Shared {
     orphan_replies: AtomicU64,
 }
 
+impl FrontStats for Shared {
+    fn crc_reject(&self) {
+        self.crc_rejects.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 /// Handle to a spawned router; dropping it shuts the router down.
 pub struct RunningRouter {
     local_addr: SocketAddr,
@@ -190,10 +193,7 @@ impl Router {
             orphan_replies: AtomicU64::new(0),
         });
         let (dial_tx, dial_rx) = mpsc::channel::<Dial>();
-        let dials = Arc::new(DialQueue {
-            items: Mutex::new(Vec::new()),
-            waker: Arc::clone(&waker),
-        });
+        let dials = Arc::new(Mailbox::new(Arc::clone(&waker)));
         let mut threads = Vec::with_capacity(2);
         {
             let dials = Arc::clone(&dials);
@@ -212,22 +212,30 @@ impl Router {
             .map(|a| Backend::new(a.clone(), now))
             .collect();
         let retained = Retained::new(opts.retained_budget);
-        let lp = RouterLoop {
+        let front = Front::new(
             listener,
             wake_rx,
+            FrontOptions {
+                io_timeout: opts.io_timeout,
+                max_conns: opts.max_conns,
+                max_pipeline: opts.max_pipeline,
+                busy_retry_ms: retry_hint_ms(opts.probe_interval),
+                fault: FaultPlan::none(),
+            },
+            Arc::clone(&shared) as Arc<dyn FrontStats>,
+        );
+        let lp = RouterLoop {
+            front,
             dial_tx,
             dials,
             shutdown: Arc::clone(&shutdown),
             shared: Arc::clone(&shared),
             opts,
             ring,
-            clients: HashMap::new(),
-            next_client: 0,
             backends,
             requests: HashMap::new(),
             next_req: 0,
             retained,
-            touched: Vec::new(),
             solve_subs_sent: 0,
         };
         threads.push(
@@ -345,23 +353,7 @@ struct DialDone {
     result: io::Result<TcpStream>,
 }
 
-struct DialQueue {
-    items: Mutex<Vec<DialDone>>,
-    waker: Arc<Waker>,
-}
-
-impl DialQueue {
-    fn push(&self, d: DialDone) {
-        self.items.lock().unwrap_or_else(|e| e.into_inner()).push(d);
-        self.waker.wake();
-    }
-
-    fn drain(&self) -> Vec<DialDone> {
-        std::mem::take(&mut *self.items.lock().unwrap_or_else(|e| e.into_inner()))
-    }
-}
-
-fn dialer_loop(rx: Receiver<Dial>, dials: &DialQueue, shutdown: &AtomicBool) {
+fn dialer_loop(rx: Receiver<Dial>, dials: &Mailbox<DialDone>, shutdown: &AtomicBool) {
     while let Ok(d) = rx.recv() {
         if shutdown.load(Ordering::SeqCst) {
             return;
@@ -461,29 +453,18 @@ enum Step {
 // Event loop
 // ---------------------------------------------------------------------------
 
-enum Token {
-    Client(u64),
-    Backend(usize),
-}
-
 struct RouterLoop {
-    listener: TcpListener,
-    wake_rx: TcpStream,
+    front: Front,
     dial_tx: Sender<Dial>,
-    dials: Arc<DialQueue>,
+    dials: Arc<Mailbox<DialDone>>,
     shutdown: Arc<AtomicBool>,
     shared: Arc<Shared>,
     opts: RouterOptions,
     ring: Ring,
-    clients: HashMap<u64, Conn>,
-    next_client: u64,
     backends: Vec<Backend>,
     requests: HashMap<u64, Request>,
     next_req: u64,
     retained: Retained,
-    /// Clients whose reply state changed off the socket-readiness path
-    /// (backend replies, failures); they need a write/extract pass.
-    touched: Vec<u64>,
     /// SOLVE sub-requests dispatched (hedges included); the denominator of
     /// the hedge budget.
     solve_subs_sent: u64,
@@ -491,35 +472,25 @@ struct RouterLoop {
 
 fn router_loop(mut lp: RouterLoop) {
     let mut fds: Vec<PollFd> = Vec::new();
-    let mut tokens: Vec<Token> = Vec::new();
+    let mut polled: Vec<usize> = Vec::new();
     loop {
         let now = Instant::now();
         for d in lp.dials.drain() {
             lp.on_dial_done(d, now);
         }
         if lp.shutdown.load(Ordering::SeqCst) {
-            lp.drain_and_exit();
+            // requests still waiting on backends are abandoned: their
+            // clients see the close and retry elsewhere
+            lp.front.drain(None);
             return;
         }
         lp.check_backend_timeouts(now);
         lp.check_hedges(now);
         lp.start_due_dials(now);
-        lp.flush_touched();
+        lp.admit(Vec::new());
 
         fds.clear();
-        tokens.clear();
-        fds.push(PollFd::new(poller::fd_of(&lp.listener), Interest::read()));
-        fds.push(PollFd::new(poller::fd_of(&lp.wake_rx), Interest::read()));
-        for (&id, conn) in lp.clients.iter() {
-            fds.push(PollFd::new(
-                poller::fd_of(&conn.stream),
-                Interest {
-                    readable: conn.wants_read(lp.opts.max_pipeline),
-                    writable: conn.wants_write(),
-                },
-            ));
-            tokens.push(Token::Client(id));
-        }
+        polled.clear();
         for (i, b) in lp.backends.iter().enumerate() {
             if let Some(conn) = &b.conn {
                 fds.push(PollFd::new(
@@ -529,48 +500,29 @@ fn router_loop(mut lp: RouterLoop) {
                         writable: conn.wants_write(),
                     },
                 ));
-                tokens.push(Token::Backend(i));
+                polled.push(i);
             }
         }
-
-        let timeout = lp.nearest_deadline();
-        if poller::wait(&mut fds, timeout).is_err() {
-            std::thread::sleep(Duration::from_millis(1));
-            continue;
-        }
-        if fds[1].ready.readable || fds[1].ready.hangup {
-            poller::drain(&mut lp.wake_rx);
-        }
-        if fds[0].ready.readable {
-            lp.accept_ready();
-        }
+        let deadline = lp.nearest_deadline();
+        lp.front.wait(&mut fds, deadline);
         let now = Instant::now();
-        for (k, tok) in tokens.iter().enumerate() {
-            let ready = fds[k + 2].ready;
-            match *tok {
-                Token::Backend(b) => lp.service_backend(b, ready, now),
-                Token::Client(id) => lp.service_client(id, ready, now),
-            }
+        for (k, &b) in polled.iter().enumerate() {
+            lp.service_backend(b, fds[k].ready, now);
         }
-        lp.flush_touched();
+        let admitted = lp.front.service(&fds);
+        lp.admit(admitted);
     }
 }
 
 impl RouterLoop {
     // -- time-driven maintenance --------------------------------------------
 
-    /// Reply-deadline sweep. On a legacy (FIFO) backend a blown head
-    /// condemns the whole connection — FIFO correlation cannot skip a
-    /// reply. On a v4 backend each expired sub-request fails *alone* (the
-    /// id map correlates whatever else still arrives), and only a stuck
-    /// write or a hung `HELLO` answer condemns the connection.
+    /// Reply-deadline sweep. Each expired sub-request fails *alone* (the
+    /// id map correlates whatever else still arrives); only a stuck write
+    /// or a hung `HELLO` answer condemns the connection.
     fn check_backend_timeouts(&mut self, now: Instant) {
         for b in 0..self.backends.len() {
-            let condemned = self.backends[b]
-                .fifo
-                .front()
-                .is_some_and(|h| now >= h.expires)
-                || self.backends[b].hello_deadline.is_some_and(|d| now >= d)
+            let condemned = self.backends[b].hello_deadline.is_some_and(|d| now >= d)
                 || self.backends[b]
                     .conn
                     .as_ref()
@@ -585,7 +537,7 @@ impl RouterLoop {
                 .filter(|(_, s)| now >= s.expires)
                 .map(|(&w, _)| w)
                 .collect();
-            let hint = self.retry_hint_ms();
+            let hint = retry_hint_ms(self.opts.probe_interval);
             for wire in expired {
                 if let Some(sub) = self.backends[b].inflight.remove(&wire) {
                     self.fail_sub(b, sub, now, hint);
@@ -607,7 +559,7 @@ impl RouterLoop {
         let mut due: Vec<u64> = Vec::new();
         for b in &mut self.backends {
             let thr = b.latency.p99().max(floor);
-            for sub in b.inflight.values_mut().chain(b.fifo.iter_mut()) {
+            for sub in b.inflight.values_mut() {
                 if sub.hedge_eligible && now >= sub.sent + thr {
                     sub.hedge_eligible = false;
                     due.push(sub.req);
@@ -641,31 +593,27 @@ impl RouterLoop {
         }
     }
 
-    fn nearest_deadline(&self) -> Option<Duration> {
-        let now = Instant::now();
+    /// The soonest backend-side deadline: write stall, `HELLO` answer,
+    /// sub-request expiry, hedge threshold, or reconnect probe.
+    fn nearest_deadline(&self) -> Option<Instant> {
         let mut best: Option<Instant> = None;
         let mut consider = |t: Option<Instant>| {
             if let Some(t) = t {
                 best = Some(best.map_or(t, |b: Instant| b.min(t)));
             }
         };
-        for conn in self.clients.values() {
-            consider(conn.read_deadline);
-            consider(conn.write_deadline);
-        }
         let hedging = self.hedging_enabled();
         let floor = self.opts.hedge_after;
         for b in &self.backends {
             if let Some(conn) = &b.conn {
                 consider(conn.write_deadline);
                 consider(b.hello_deadline);
-                consider(b.fifo.front().map(|h| h.expires));
                 let thr = if hedging {
                     Some(b.latency.p99().max(floor))
                 } else {
                     None
                 };
-                for sub in b.inflight.values().chain(b.fifo.iter()) {
+                for sub in b.inflight.values() {
                     consider(Some(sub.expires));
                     if let Some(thr) = thr {
                         if sub.hedge_eligible {
@@ -677,7 +625,7 @@ impl RouterLoop {
                 consider(Some(b.next_probe));
             }
         }
-        best.map(|t| t.saturating_duration_since(now))
+        best
     }
 
     fn set_healthy_gauge(&self) {
@@ -700,15 +648,13 @@ impl RouterLoop {
                 }
                 let mut conn = Conn::new(stream);
                 // Version negotiation opens every backend connection; the
-                // rejoin replays queue only once the answer settles the
-                // framing (they must be enveloped iff the peer is v4).
+                // rejoin replays queue only once the peer has agreed to v4.
                 conn.enqueue(&encode_frame(
                     op::HELLO,
                     &Builder::new().u16(PROTOCOL_VERSION).build(),
                 ));
                 self.backends[d.idx].conn = Some(conn);
                 self.backends[d.idx].note_connected();
-                self.backends[d.idx].proto = Proto::Negotiating;
                 self.backends[d.idx].hello_deadline =
                     Some(now + self.opts.io_timeout.max(Duration::from_secs(1)));
                 self.shared.rejoins.fetch_add(1, Ordering::Relaxed);
@@ -716,34 +662,16 @@ impl RouterLoop {
         }
     }
 
-    /// The `HELLO` answer landed: settle the connection's framing, then
+    /// The `HELLO` answer landed. Anything but an agreement on v4 — a
+    /// pre-v4 peer's `ERR UnknownOpcode` included — fails the connection:
+    /// replies can only be matched to requests by v4 id. On agreement,
     /// queue the warm-standby replays (re-LOAD every retained factor the
     /// ring places on this backend) before it takes new traffic.
     fn finish_negotiation(&mut self, b: usize, opcode: u8, payload: &[u8], now: Instant) {
-        let proto = match opcode {
-            op::OK_HELLO => match Cursor::new(payload).u16() {
-                Ok(theirs) if theirs >= 4 => Proto::V4,
-                Ok(_) => Proto::Fifo,
-                Err(_) => {
-                    self.backend_failure(b, now);
-                    return;
-                }
-            },
-            // A pre-v4 backend does not know HELLO; the refusal leaves its
-            // connection open and IS the downgrade signal.
-            op::ERR => match parse_err(payload) {
-                Ok((Some(ErrorCode::UnknownOpcode), _, _)) => Proto::Fifo,
-                _ => {
-                    self.backend_failure(b, now);
-                    return;
-                }
-            },
-            _ => {
-                self.backend_failure(b, now);
-                return;
-            }
-        };
-        self.backends[b].proto = proto;
+        if opcode != op::OK_HELLO || !Cursor::new(payload).u16().is_ok_and(|v| v >= 4) {
+            self.backend_failure(b, now);
+            return;
+        }
         self.backends[b].hello_deadline = None;
         let replays: Vec<Vec<u8>> = self
             .retained
@@ -776,12 +704,6 @@ impl RouterLoop {
             .max(Duration::from_secs(1))
     }
 
-    /// Hint handed to clients when no replica is reachable: roughly one
-    /// probe cycle out.
-    fn retry_hint_ms(&self) -> u64 {
-        (self.opts.probe_interval.as_millis() as u64).max(1) * 2
-    }
-
     // -- backend I/O ---------------------------------------------------------
 
     fn send_sub(&mut self, b: usize, opcode: u8, payload: &[u8], sub: SubReq) {
@@ -792,15 +714,10 @@ impl RouterLoop {
         let Some(conn) = backend.conn.as_mut() else {
             return;
         };
-        if backend.proto == Proto::V4 {
-            let wire = backend.next_wire;
-            backend.next_wire += 1;
-            conn.enqueue(&encode_frame(opcode, &wrap_v4(opcode, wire, payload)));
-            backend.inflight.insert(wire, sub);
-        } else {
-            conn.enqueue(&encode_frame(opcode, payload));
-            backend.fifo.push_back(sub);
-        }
+        let wire = backend.next_wire;
+        backend.next_wire += 1;
+        conn.enqueue(&encode_frame(opcode, &wrap_v4(opcode, wire, payload)));
+        backend.inflight.insert(wire, sub);
     }
 
     fn service_backend(&mut self, b: usize, ready: poller::Readiness, now: Instant) {
@@ -856,49 +773,28 @@ impl RouterLoop {
     }
 
     fn handle_backend_reply(&mut self, b: usize, opcode: u8, payload: Vec<u8>, now: Instant) {
-        if self.backends[b].proto == Proto::Negotiating {
+        if self.backends[b].hello_deadline.is_some() {
             self.finish_negotiation(b, opcode, &payload, now);
             return;
         }
-        let (sub, payload) = if self.backends[b].proto == Proto::V4 {
-            match unwrap_v4(opcode, &payload) {
-                Ok((wire, inner)) => {
-                    let inner = inner.to_vec();
-                    match self.backends[b].inflight.remove(&wire) {
-                        Some(sub) => (sub, inner),
-                        None => {
-                            // Duplicate, or late after its sub-request
-                            // expired: correlates to nothing. Ids never
-                            // reuse, so dropping it is safe and the
-                            // connection keeps serving.
-                            self.shared.orphan_replies.fetch_add(1, Ordering::Relaxed);
-                            return;
-                        }
-                    }
-                }
-                Err(_) => {
-                    // Corrupt frame (or a legacy-encoded close-path ERR):
-                    // the id field cannot be trusted, so count and drop.
-                    // The owning sub-request runs into its own expiry; if
-                    // the connection is really dying, the EOF that follows
-                    // a close-path ERR tears it down.
-                    self.shared.crc_rejects.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
+        let (wire, payload) = match unwrap_v4(opcode, &payload) {
+            Ok((wire, inner)) => (wire, inner.to_vec()),
+            Err(_) => {
+                // Corrupt frame (or a legacy-encoded close-path ERR): the
+                // id field cannot be trusted, so count and drop. The owning
+                // sub-request runs into its own expiry; if the connection
+                // is really dying, the EOF that follows a close-path ERR
+                // tears it down.
+                self.shared.crc_rejects.fetch_add(1, Ordering::Relaxed);
+                return;
             }
-        } else {
-            match self.backends[b].fifo.pop_front() {
-                Some(sub) => (sub, payload),
-                None => {
-                    // A reply with nothing in flight: a duplicate, or one
-                    // that arrived after a condemnation already drained the
-                    // FIFO. Count it and drop it — condemning the
-                    // connection here (as the router once did) turns one
-                    // stray frame into a full teardown and a rejoin storm.
-                    self.shared.orphan_replies.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-            }
+        };
+        let Some(sub) = self.backends[b].inflight.remove(&wire) else {
+            // Duplicate, or late after its sub-request expired: correlates
+            // to nothing. Ids never reuse, so dropping it is safe and the
+            // connection keeps serving.
+            self.shared.orphan_replies.fetch_add(1, Ordering::Relaxed);
+            return;
         };
         // The adaptive hedge threshold learns from replies that *served* a
         // request, and only from un-hedged SOLVEs. Hedge arms are born
@@ -1080,15 +976,13 @@ impl RouterLoop {
     }
 
     /// Tear down a backend connection: every in-flight sub-request on it
-    /// (FIFO and id-correlated alike) fails over (solves) or counts
-    /// against its fan-out (everything else), and the breaker schedules a
-    /// reconnect probe.
+    /// fails over (solves) or counts against its fan-out (everything
+    /// else), and the breaker schedules a reconnect probe.
     fn backend_failure(&mut self, b: usize, now: Instant) {
-        let mut drained: Vec<SubReq> = self.backends[b].fifo.drain(..).collect();
-        drained.extend(self.backends[b].inflight.drain().map(|(_, s)| s));
+        let drained: Vec<SubReq> = self.backends[b].inflight.drain().map(|(_, s)| s).collect();
         self.backends[b].note_failure(now, self.opts.probe_interval);
         self.set_healthy_gauge();
-        let hint = self.retry_hint_ms();
+        let hint = retry_hint_ms(self.opts.probe_interval);
         for sub in drained {
             self.fail_sub(b, sub, now, hint);
         }
@@ -1181,7 +1075,7 @@ impl RouterLoop {
             let Some(req) = self.requests.get_mut(&rid) else {
                 return;
             };
-            if req.client != INTERNAL && !self.clients.contains_key(&req.client) {
+            if req.client != INTERNAL && !self.front.is_open(req.client) {
                 Action::Gone
             } else {
                 let Kind::Solve {
@@ -1234,7 +1128,7 @@ impl RouterLoop {
                         None => Action::Fail(last_err.clone().unwrap_or((
                             ErrorCode::Busy,
                             "no healthy replica for fingerprint".into(),
-                            Some(self.retry_hint_ms()),
+                            Some(retry_hint_ms(self.opts.probe_interval)),
                         ))),
                     }
                 }
@@ -1345,190 +1239,22 @@ impl RouterLoop {
         }
     }
 
-    // -- client I/O ----------------------------------------------------------
+    // -- client side ---------------------------------------------------------
 
-    fn accept_ready(&mut self) {
+    /// Dispatch admitted client requests, then run the front's completion
+    /// edge — repeatedly, because a request answered on the spot (a parse
+    /// error, no healthy replica) frees its pipeline slot at once and may
+    /// admit the next buffered frame.
+    fn admit(&mut self, mut batch: Vec<front::Request>) {
         loop {
-            let stream = match self.listener.accept() {
-                Ok((stream, _)) => stream,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(_) => return,
-            };
-            if self.opts.max_conns != 0 && self.clients.len() >= self.opts.max_conns {
-                let mut stream = stream;
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let _ = stream.set_nodelay(true);
-                let _ = write_frame(
-                    &mut stream,
-                    op::ERR,
-                    &err_payload(
-                        ErrorCode::Busy,
-                        "router connection limit reached",
-                        Some(self.retry_hint_ms()),
-                    ),
-                );
-                continue;
+            let now = Instant::now();
+            for r in batch {
+                self.dispatch_client(r, now);
             }
-            if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-                continue;
+            batch = self.front.settle();
+            if batch.is_empty() {
+                return;
             }
-            let id = self.next_client;
-            self.next_client += 1;
-            self.clients.insert(id, Conn::new(stream));
-        }
-    }
-
-    fn service_client(&mut self, id: u64, ready: poller::Readiness, now: Instant) {
-        let mut close = false;
-        if ready.readable || ready.hangup {
-            let status = {
-                let Some(conn) = self.clients.get_mut(&id) else {
-                    return;
-                };
-                conn.read_some()
-            };
-            match status {
-                Err(_) => close = true,
-                Ok(st) => {
-                    self.extract_client_frames(id, now);
-                    if st == ReadStatus::Eof {
-                        if let Some(conn) = self.clients.get_mut(&id) {
-                            conn.close_input();
-                        }
-                    }
-                }
-            }
-        }
-        let Some(conn) = self.clients.get_mut(&id) else {
-            return;
-        };
-        if !close && (ready.writable || conn.wants_write()) {
-            close = conn.try_write(self.opts.io_timeout).is_err();
-        }
-        if !close {
-            if conn.read_deadline.is_some_and(|d| now >= d) {
-                conn.fail_and_close(encode_frame(
-                    op::ERR,
-                    &err_payload(ErrorCode::Timeout, "slow peer: frame stalled", None),
-                ));
-                let _ = conn.try_write(self.opts.io_timeout);
-            }
-            if conn.write_deadline.is_some_and(|d| now >= d) {
-                close = true;
-            }
-        }
-        if close || conn.finished() {
-            self.clients.remove(&id);
-        }
-    }
-
-    fn extract_client_frames(&mut self, id: u64, now: Instant) {
-        let mut extracted = false;
-        loop {
-            let step = {
-                let Some(conn) = self.clients.get_mut(&id) else {
-                    return;
-                };
-                if !conn.can_extract(self.opts.max_pipeline) {
-                    break;
-                }
-                conn.next_frame()
-            };
-            match step {
-                FrameStep::Incomplete => break,
-                FrameStep::BadLength(len) => {
-                    let code = if len > MAX_FRAME_LEN {
-                        ErrorCode::TooLarge
-                    } else {
-                        ErrorCode::Malformed
-                    };
-                    if let Some(conn) = self.clients.get_mut(&id) {
-                        conn.fail_and_close(encode_frame(
-                            op::ERR,
-                            &err_payload(code, &format!("bad frame length {len}"), None),
-                        ));
-                    }
-                    break;
-                }
-                FrameStep::Frame { opcode, payload } => {
-                    extracted = true;
-                    let (is_v4, begun) = {
-                        let Some(conn) = self.clients.get_mut(&id) else {
-                            return;
-                        };
-                        (conn.is_v4(), conn.requests_begun())
-                    };
-                    // Version negotiation: first frame only, answered
-                    // inline (it must settle the framing before any
-                    // pipelined request is parsed).
-                    if opcode == op::HELLO && !is_v4 && begun == 0 {
-                        let reply = match Cursor::new(&payload).u16() {
-                            Ok(theirs) => {
-                                let negotiated = theirs.min(PROTOCOL_VERSION);
-                                if negotiated >= 4 {
-                                    if let Some(conn) = self.clients.get_mut(&id) {
-                                        conn.set_v4();
-                                    }
-                                }
-                                encode_frame(op::OK_HELLO, &Builder::new().u16(negotiated).build())
-                            }
-                            Err(msg) => encode_frame(
-                                op::ERR,
-                                &err_payload(ErrorCode::Malformed, &msg, None),
-                            ),
-                        };
-                        if let Some(conn) = self.clients.get_mut(&id) {
-                            conn.enqueue(&reply);
-                        }
-                        continue;
-                    }
-                    let mut payload = payload;
-                    let mut cwire = None;
-                    if is_v4 {
-                        match unwrap_v4(opcode, &payload) {
-                            Ok((w, inner)) => {
-                                cwire = Some(w);
-                                payload = inner.to_vec();
-                            }
-                            Err(e) => {
-                                // Refuse the damaged frame, keep the
-                                // connection: framing is still intact, and
-                                // the id hint lets the client correlate.
-                                let (code, msg) = match e {
-                                    trisolv_server::protocol::EnvelopeError::Checksum => {
-                                        self.shared.crc_rejects.fetch_add(1, Ordering::Relaxed);
-                                        (ErrorCode::Corrupt, "payload checksum mismatch")
-                                    }
-                                    trisolv_server::protocol::EnvelopeError::TooShort => (
-                                        ErrorCode::Malformed,
-                                        "payload shorter than the v4 envelope",
-                                    ),
-                                };
-                                let hint = v4_req_id_hint(&payload);
-                                let err = err_payload(code, msg, None);
-                                let frame = encode_frame(op::ERR, &wrap_v4(op::ERR, hint, &err));
-                                if let Some(conn) = self.clients.get_mut(&id) {
-                                    conn.enqueue(&frame);
-                                }
-                                continue;
-                            }
-                        }
-                    }
-                    let seq = {
-                        let Some(conn) = self.clients.get_mut(&id) else {
-                            return;
-                        };
-                        conn.begin_request()
-                    };
-                    self.dispatch_client(id, seq, cwire, opcode, payload, now);
-                }
-            }
-        }
-        if let Some(conn) = self.clients.get_mut(&id) {
-            conn.compact();
-            conn.update_read_deadline(self.opts.io_timeout, extracted);
         }
     }
 
@@ -1548,42 +1274,12 @@ impl RouterLoop {
             Some(w) => encode_frame(opcode, &wrap_v4(opcode, w, payload)),
             None => encode_frame(opcode, payload),
         };
-        if let Some(conn) = self.clients.get_mut(&id) {
-            conn.finish(
-                seq,
-                if close {
-                    Outcome::ReplyThenClose(frame)
-                } else {
-                    Outcome::Reply(frame)
-                },
-            );
-            self.touched.push(id);
-        }
-    }
-
-    /// Write/extract pass over clients whose state changed off the
-    /// readiness path (a backend reply finished one of their requests).
-    /// The re-extraction mirrors the server loop's completion edge: frames
-    /// past the pipeline cap sit in `read_buf` where poll cannot see them,
-    /// so a freed slot must resume the parser.
-    fn flush_touched(&mut self) {
-        if self.touched.is_empty() {
-            return;
-        }
-        let mut ids = std::mem::take(&mut self.touched);
-        ids.sort_unstable();
-        ids.dedup();
-        let now = Instant::now();
-        for id in ids {
-            self.extract_client_frames(id, now);
-            let Some(conn) = self.clients.get_mut(&id) else {
-                continue;
-            };
-            let close = conn.try_write(self.opts.io_timeout).is_err() || conn.finished();
-            if close {
-                self.clients.remove(&id);
-            }
-        }
+        let outcome = if close {
+            Outcome::ReplyThenClose(frame)
+        } else {
+            Outcome::Reply(frame)
+        };
+        self.front.finish(id, seq, outcome);
     }
 
     // -- request dispatch ----------------------------------------------------
@@ -1614,17 +1310,10 @@ impl RouterLoop {
         );
     }
 
-    fn dispatch_client(
-        &mut self,
-        id: u64,
-        seq: u64,
-        cwire: Option<u64>,
-        opcode: u8,
-        payload: Vec<u8>,
-        now: Instant,
-    ) {
+    fn dispatch_client(&mut self, r: front::Request, now: Instant) {
         self.shared.requests.fetch_add(1, Ordering::Relaxed);
-        match opcode {
+        let (id, seq, cwire, payload) = (r.conn, r.seq, r.wire, r.payload);
+        match r.opcode {
             op::SOLVE => self.dispatch_solve(id, seq, cwire, payload, now),
             op::LOAD => self.dispatch_load(id, seq, cwire, payload, now),
             op::EVICT => self.dispatch_evict(id, seq, cwire, &payload, now),
@@ -1665,7 +1354,9 @@ impl RouterLoop {
         }
         let fp = Fingerprint::from_bytes(payload[..16].try_into().expect("16 bytes"));
         let client_ms = u64::from_le_bytes(payload[16..24].try_into().expect("8 bytes"));
-        let budget = effective_budget(client_ms, self.opts.deadline_cap);
+        // the failover timer needs *some* horizon when neither side set one
+        let budget =
+            effective_budget(client_ms, self.opts.deadline_cap).unwrap_or(Duration::from_secs(60));
         let replicas = self.ring.replicas(fp, self.opts.replication);
         let rid = self.new_request(Request {
             client: id,
@@ -1706,7 +1397,7 @@ impl RouterLoop {
             .filter(|&b| self.backends[b].usable())
             .collect();
         if targets.is_empty() {
-            let hint = self.retry_hint_ms();
+            let hint = retry_hint_ms(self.opts.probe_interval);
             self.reply_err(
                 id,
                 seq,
@@ -1858,50 +1549,16 @@ impl RouterLoop {
         }
         b.build()
     }
-
-    // -- shutdown ------------------------------------------------------------
-
-    /// Bounded post-shutdown grace: flush buffered client replies (the
-    /// `OK_BYE` in particular), then close everything. Requests still
-    /// waiting on backends are abandoned — their clients see the close and
-    /// retry elsewhere.
-    fn drain_and_exit(&mut self) {
-        let deadline = Instant::now() + Duration::from_millis(500);
-        while Instant::now() < deadline {
-            let mut done: Vec<u64> = Vec::new();
-            for (&id, conn) in self.clients.iter_mut() {
-                if conn.try_write(self.opts.io_timeout).is_err() || !conn.wants_write() {
-                    done.push(id);
-                }
-            }
-            for id in done {
-                self.clients.remove(&id);
-            }
-            if self.clients.is_empty() {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        self.clients.clear();
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Pure helpers
 // ---------------------------------------------------------------------------
 
-/// The solve budget: client ask clamped to the router cap, the cap alone
-/// when the client sent none, and a one-minute backstop when both are zero
-/// (the failover timer needs *some* horizon).
-fn effective_budget(client_ms: u64, cap: Duration) -> Duration {
-    let client = (client_ms > 0).then(|| Duration::from_millis(client_ms));
-    let cap = (!cap.is_zero()).then_some(cap);
-    match (client, cap) {
-        (Some(c), Some(k)) => c.min(k),
-        (Some(c), None) => c,
-        (None, Some(k)) => k,
-        (None, None) => Duration::from_secs(60),
-    }
+/// Hint handed to clients when no replica is reachable (and on a rejected
+/// connection): roughly one probe cycle out.
+fn retry_hint_ms(probe_interval: Duration) -> u64 {
+    (probe_interval.as_millis() as u64).max(1) * 2
 }
 
 /// Resolve a `LOAD` fan-out: `Pending` while replies are outstanding, the
@@ -1985,19 +1642,6 @@ fn load_fingerprint(payload: &[u8]) -> Result<Fingerprint, String> {
 mod tests {
     use super::*;
     use trisolv_matrix::gen;
-
-    #[test]
-    fn effective_budget_clamps() {
-        let cap = Duration::from_secs(30);
-        assert_eq!(effective_budget(0, cap), cap);
-        assert_eq!(effective_budget(500, cap), Duration::from_millis(500));
-        assert_eq!(effective_budget(120_000, cap), cap);
-        assert_eq!(effective_budget(0, Duration::ZERO), Duration::from_secs(60));
-        assert_eq!(
-            effective_budget(7, Duration::ZERO),
-            Duration::from_millis(7)
-        );
-    }
 
     #[test]
     fn load_fingerprint_matches_matrix_digest() {

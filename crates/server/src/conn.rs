@@ -322,8 +322,8 @@ impl Conn {
     /// bypassing the seq/reorder machinery. This is how the router's
     /// *outbound* (backend-facing) connections reuse this state machine:
     /// requests go out through `enqueue`, replies come back through
-    /// [`Conn::read_some`]/[`Conn::next_frame`], and FIFO request→reply
-    /// matching is the caller's job.
+    /// [`Conn::read_some`]/[`Conn::next_frame`], and matching replies to
+    /// requests (by v4 request id) is the caller's job.
     pub fn enqueue(&mut self, frame: &[u8]) {
         self.write_buf.extend_from_slice(frame);
     }

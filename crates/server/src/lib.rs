@@ -9,8 +9,9 @@
 //! [`engine`]), and exposes the whole thing over a std-only length-prefixed
 //! TCP protocol ([`protocol`]) behind an event-driven front end — a
 //! `poll(2)` readiness loop ([`poller`]), per-connection state machines
-//! with request pipelining ([`conn`]), and a solver-worker pool
-//! ([`server`]) — with a matching blocking client and load generator
+//! with request pipelining ([`conn`]), the client-facing loop half shared
+//! with the router ([`front`]), and a solver-worker pool ([`server`]) —
+//! with a matching blocking client and load generator
 //! ([`client`], [`loadgen`]).
 //!
 //! Failure is a first-class input ([`fault`]): a seeded fault plan can
@@ -36,6 +37,7 @@ pub mod conn;
 pub mod engine;
 pub mod fault;
 pub mod fingerprint;
+pub mod front;
 pub mod loadgen;
 pub mod poller;
 pub mod protocol;

@@ -17,10 +17,12 @@
 //! Cross-thread wakeups use a loopback socket pair ([`wake_pair`]) instead
 //! of a self-pipe, because `std` can make sockets without any FFI at all:
 //! the read half sits in the poll set, and [`Waker::wake`] writes one byte.
+//! A [`Mailbox`] pairs a waker with a queue, so other threads can hand the
+//! loop finished work.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Raw socket descriptor registered with [`wait`].
@@ -224,6 +226,38 @@ impl Waker {
     /// append wake bytes the loop drains in bulk.
     pub fn raw_fd(&self) -> RawFd {
         fd_of(&*self.tx.lock().unwrap_or_else(|e| e.into_inner()))
+    }
+}
+
+/// A cross-thread queue into a [`wait`] loop: producers push and wake the
+/// loop out of `poll`, the loop drains everything pushed so far.
+pub struct Mailbox<T> {
+    items: Mutex<Vec<T>>,
+    waker: Arc<Waker>,
+}
+
+impl<T> Mailbox<T> {
+    /// An empty mailbox whose pushes wake through `waker`.
+    pub fn new(waker: Arc<Waker>) -> Mailbox<T> {
+        Mailbox {
+            items: Mutex::new(Vec::new()),
+            waker,
+        }
+    }
+
+    /// Queue one item and wake the loop. A producer that panicked while
+    /// holding the lock left the vector intact, so poison is recovered.
+    pub fn push(&self, item: T) {
+        self.items
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(item);
+        self.waker.wake();
+    }
+
+    /// Take everything queued so far.
+    pub fn drain(&self) -> Vec<T> {
+        std::mem::take(&mut *self.items.lock().unwrap_or_else(|e| e.into_inner()))
     }
 }
 

@@ -55,8 +55,10 @@
 //! version it speaks; a v4 server replies `OK_HELLO` with
 //! `min(theirs, PROTOCOL_VERSION)`. A v3 server answers the unknown
 //! opcode with `ERR UnknownOpcode` and leaves the connection open, which
-//! *is* the downgrade signal: the caller falls back to the legacy (v3)
-//! framing on the same connection, byte-unchanged. A v2/v3 client simply
+//! *is* the downgrade signal: a client falls back to the legacy (v3)
+//! framing on the same connection, byte-unchanged. (The router does not:
+//! it matches backend replies only by request ID, so a backend that
+//! refuses `HELLO` is treated as down.) A v2/v3 client simply
 //! never sends `HELLO` and the server keeps speaking v3 to it. `HELLO` is
 //! only legal as the very first frame of a connection.
 //!
@@ -128,6 +130,7 @@ pub const V4_ENVELOPE_BYTES: usize = 8 + 16;
 pub const SOLVE_FLAG_CERTIFIED: u8 = 0x01;
 
 use std::io::{self, Read, Write};
+use std::time::Duration;
 
 use crate::engine::EngineError;
 use crate::fingerprint::Fingerprint;
@@ -339,6 +342,15 @@ pub fn parse_err(payload: &[u8]) -> Result<(Option<ErrorCode>, String, Option<u6
         _ => None,
     };
     Ok((code, msg, retry_after_ms))
+}
+
+/// A request's time budget: the client's ask in ms (0 = none) clamped to
+/// the service cap (zero = uncapped); whichever is set when only one is;
+/// `None` when neither is.
+pub fn effective_budget(client_ms: u64, cap: Duration) -> Option<Duration> {
+    let client = (client_ms > 0).then(|| Duration::from_millis(client_ms));
+    let cap = (!cap.is_zero()).then_some(cap);
+    client.into_iter().chain(cap).min()
 }
 
 /// Why a v4 envelope failed to unwrap.
@@ -604,6 +616,19 @@ impl Builder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn effective_budget_clamps() {
+        let cap = Duration::from_secs(30);
+        assert_eq!(effective_budget(0, cap), Some(cap));
+        assert_eq!(effective_budget(500, cap), Some(Duration::from_millis(500)));
+        assert_eq!(effective_budget(120_000, cap), Some(cap));
+        assert_eq!(effective_budget(0, Duration::ZERO), None);
+        assert_eq!(
+            effective_budget(7, Duration::ZERO),
+            Some(Duration::from_millis(7))
+        );
+    }
 
     #[test]
     fn frame_round_trip() {

@@ -1,10 +1,11 @@
 //! TCP front end: readiness-driven event loop, solver-worker pool, watchdog.
 //!
-//! One event-loop thread owns every socket: it polls the nonblocking
-//! listener, a wake channel, and all connections through the [`poller`]
-//! abstraction, feeds complete frames from each [`Conn`] state machine into
-//! a job channel, and writes finished replies back out. A fixed pool of
-//! solver workers blocks on that channel — a worker blocked inside the
+//! One event-loop thread owns every socket through a [`Front`] — the
+//! client-facing half shared with the router: listener, wake channel,
+//! connections, frame extraction, `HELLO` negotiation, v4 envelope checks,
+//! slow-peer deadlines. The loop feeds every admitted request into a job
+//! channel and writes finished replies back out. A fixed pool of solver
+//! workers blocks on that channel — a worker blocked inside the
 //! micro-batcher is exactly what lets concurrent requests share a blocked
 //! solve, so `workers` should be at least the target batch size. Requests
 //! pipelined on one connection execute concurrently across workers; replies
@@ -17,17 +18,12 @@
 //! on a period.
 //!
 //! Robustness contract (exercised in `tests/service.rs`, `tests/chaos.rs`,
-//! and `tests/frontend.rs`):
+//! and `tests/frontend.rs`; the framing, slow-peer, negotiation and
+//! checksum rules are [`Front`]'s):
 //!
-//! * a garbage or oversized length prefix gets an `ERR` reply and a close
-//!   (the stream cannot be re-synchronized);
 //! * a decodable frame with a bad payload (truncated arrays, wrong RHS
 //!   length, unknown fingerprint, unknown opcode) gets a structured `ERR`
 //!   reply and the connection stays open;
-//! * a peer that starts a frame but trickles it in slower than
-//!   `io_timeout` (slow loris) gets `ERR Timeout` and a close — and under
-//!   the event loop it never held a thread to begin with; idle connections
-//!   *between* frames may wait forever;
 //! * a panic anywhere in request handling is caught at the dispatch
 //!   boundary and answered with `ERR Internal`; a panic that escapes a
 //!   worker thread entirely (e.g. the injected `worker.panic` fault) is
@@ -36,21 +32,16 @@
 //!   with the worker so its client can retry on a fresh stream;
 //! * `SHUTDOWN` (or [`RunningServer::shutdown`]) flushes pending replies,
 //!   stops the loop, drains the workers, and joins every thread;
-//! * a `HELLO` first frame negotiates protocol v4 inline in the loop
-//!   (never through the worker pool, so no pipelined enveloped frame can
-//!   race the mode switch): subsequent frames carry a request ID echoed in
-//!   the reply plus a checksum trailer, replies flush in completion order,
-//!   and a frame failing its checksum gets `ERR Corrupt` (counted in
-//!   `STATS crc_rejects`) while the connection keeps serving.
+//! * on a negotiated (v4) connection replies echo the request ID, carry a
+//!   checksum trailer, and flush in completion order.
 //!
-//! Every fault-injection site ([`FaultSite`]) on the request path lives in
-//! this file except `solve`/`factor`, which the engine trips: `conn` at
-//! accept, `read` per parsed frame in the loop, `write` and `worker` in the
-//! workers.
+//! Every fault-injection site ([`FaultSite`]) on the request path is
+//! tripped here or by the engine (`solve`/`factor`): `conn` at accept and
+//! `read` per parsed frame inside the [`Front`], `write` and `worker` in
+//! the workers.
 
-use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -60,13 +51,14 @@ use std::time::{Duration, Instant};
 
 use trisolv_matrix::CscMatrix;
 
-use crate::conn::{Conn, FrameStep, Outcome, ReadStatus};
+use crate::conn::Outcome;
 use crate::engine::{Engine, EngineError, EngineOptions};
 use crate::fault::{FaultAction, FaultPlan, FaultSite};
-use crate::poller::{self, Interest, PollFd, Waker};
+use crate::front::{Front, FrontOptions, FrontStats, Request};
+use crate::poller::{self, Mailbox, PollFd, Waker};
 use crate::protocol::{
-    encode_frame, err_payload, op, unwrap_v4, v4_req_id_hint, wrap_v4, write_frame, Builder,
-    Cursor, EnvelopeError, ErrorCode, MAX_FRAME_LEN, PROTOCOL_VERSION, SOLVE_FLAG_CERTIFIED,
+    effective_budget, encode_frame, err_payload, op, wrap_v4, Builder, Cursor, ErrorCode,
+    SOLVE_FLAG_CERTIFIED,
 };
 use crate::signal;
 use crate::store::{FactorStore, StoreOptions};
@@ -129,20 +121,6 @@ pub struct RunningServer {
     threads: Vec<JoinHandle<()>>,
 }
 
-/// One parsed request on its way to a solver worker.
-struct Job {
-    conn_id: u64,
-    seq: u64,
-    opcode: u8,
-    payload: Vec<u8>,
-    /// The v4 request ID to echo in the reply envelope; `None` on a legacy
-    /// (un-negotiated) connection, whose replies stay bare v3 frames.
-    wire: Option<u64>,
-    /// When the frame finished arriving; deadlines count from here, not
-    /// from when a worker got around to it.
-    received: Instant,
-}
-
 /// What flows back from workers (and the watchdog) to the event loop.
 enum Completion {
     /// Request `seq` on `conn_id` resolved.
@@ -155,24 +133,6 @@ enum Completion {
     /// never come, so the loop closes the connection and the client's
     /// retry ladder takes over on a fresh stream.
     ConnLost { conn_id: u64 },
-}
-
-/// Completions mailbox: workers push, the loop drains; every push wakes
-/// the loop out of `poll`.
-struct CompletionQueue {
-    items: Mutex<Vec<Completion>>,
-    waker: Arc<Waker>,
-}
-
-impl CompletionQueue {
-    fn push(&self, c: Completion) {
-        self.items.lock().unwrap_or_else(|e| e.into_inner()).push(c);
-        self.waker.wake();
-    }
-
-    fn drain(&self) -> Vec<Completion> {
-        std::mem::take(&mut *self.items.lock().unwrap_or_else(|e| e.into_inner()))
-    }
 }
 
 /// A worker thread's exit report, sent from a drop guard so it fires on
@@ -198,8 +158,8 @@ impl Drop for ExitNotice {
 
 /// Everything a solver worker needs.
 struct WorkerCtx {
-    jobs: Arc<Mutex<Receiver<Job>>>,
-    completions: Arc<CompletionQueue>,
+    jobs: Arc<Mutex<Receiver<Request>>>,
+    completions: Arc<Mailbox<Completion>>,
     engine: Arc<Engine>,
     shutdown: Arc<AtomicBool>,
     fault: FaultPlan,
@@ -227,16 +187,11 @@ impl WorkerCtx {
 
 /// Everything the event loop owns.
 struct LoopCtx {
-    listener: TcpListener,
-    wake_rx: TcpStream,
-    jobs_tx: Sender<Job>,
-    completions: Arc<CompletionQueue>,
+    front: Front,
+    jobs_tx: Sender<Request>,
+    completions: Arc<Mailbox<Completion>>,
     engine: Arc<Engine>,
     shutdown: Arc<AtomicBool>,
-    fault: FaultPlan,
-    io_timeout: Duration,
-    max_conns: usize,
-    max_pipeline: usize,
 }
 
 /// The service entry point.
@@ -261,11 +216,8 @@ impl Server {
         let shutdown = Arc::new(AtomicBool::new(false));
         let (waker, wake_rx) = poller::wake_pair()?;
         let waker = Arc::new(waker);
-        let (jobs_tx, jobs_rx) = mpsc::channel::<Job>();
-        let completions = Arc::new(CompletionQueue {
-            items: Mutex::new(Vec::new()),
-            waker: Arc::clone(&waker),
-        });
+        let (jobs_tx, jobs_rx) = mpsc::channel::<Request>();
+        let completions = Arc::new(Mailbox::new(Arc::clone(&waker)));
         let (exit_tx, exit_rx) = mpsc::channel::<WorkerExit>();
         let nworkers = opts.workers.max(1);
         let current: Arc<Vec<AtomicU64>> =
@@ -291,17 +243,24 @@ impl Server {
                 .name("tsv-watchdog".to_string())
                 .spawn(move || watchdog_loop(wctx, exit_rx, workers))?,
         );
-        let lctx = LoopCtx {
+        let front = Front::new(
             listener,
             wake_rx,
+            FrontOptions {
+                io_timeout: opts.io_timeout,
+                max_conns: opts.max_conns,
+                max_pipeline: opts.max_pipeline,
+                busy_retry_ms: engine.retry_after_ms(),
+                fault: opts.fault,
+            },
+            Arc::clone(&engine) as Arc<dyn FrontStats>,
+        );
+        let lctx = LoopCtx {
+            front,
             jobs_tx,
             completions,
             engine: Arc::clone(&engine),
             shutdown: Arc::clone(&shutdown),
-            fault: opts.fault,
-            io_timeout: opts.io_timeout,
-            max_conns: opts.max_conns,
-            max_pipeline: opts.max_pipeline.max(1),
         };
         threads.push(
             std::thread::Builder::new()
@@ -375,367 +334,70 @@ impl Drop for RunningServer {
 // Event loop
 // ---------------------------------------------------------------------------
 
-/// Positions of the two fixed poll-set entries; connections follow.
-const POLL_LISTENER: usize = 0;
-const POLL_WAKER: usize = 1;
-
 fn event_loop(mut ctx: LoopCtx) {
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut next_id: u64 = 0;
     let mut fds: Vec<PollFd> = Vec::new();
-    let mut ids: Vec<u64> = Vec::new();
     loop {
-        // Finished work first: apply completions, admit buffered frames
-        // into the freed pipeline slots, flush, reap. The extraction pass
-        // here is load-bearing: a burst past `max_pipeline` sits fully
-        // drained into `Conn::read_buf`, where level-triggered poll will
-        // never see it again — completions are the only edge that frees
-        // slots, so completions must re-run the parser.
-        for id in apply_completions(&ctx, &mut conns) {
-            let close = match conns.get_mut(&id) {
-                Some(conn) => {
-                    extract_frames(&ctx, id, conn)
-                        || conn.try_write(ctx.io_timeout).is_err()
-                        || conn.finished()
-                }
-                None => false,
-            };
-            if close {
-                close_conn(&ctx, &mut conns, id);
-            }
-        }
+        // Finished work first: apply completions, then the completion edge
+        // admits buffered frames into the freed pipeline slots, flushes,
+        // and reaps.
+        apply_completions(&ctx.completions, &mut ctx.front);
+        let jobs = ctx.front.settle();
+        ctx.submit(jobs);
         if ctx.shutdown.load(Ordering::SeqCst) || signal::shutdown_requested() {
-            shutdown_drain(&ctx, &mut conns);
+            let completions = &ctx.completions;
+            ctx.front.drain(Some(&mut |front: &mut Front| {
+                apply_completions(completions, front)
+            }));
             // a signal (or SHUTDOWN frame) must not strand a queued
             // snapshot: wait for the write-behind thread to drain
             ctx.engine.flush_store(Duration::from_secs(5));
             return; // drops jobs_tx: workers see disconnect and exit
         }
-
-        // Rebuild the level-triggered poll set.
         fds.clear();
-        ids.clear();
-        fds.push(PollFd::new(poller::fd_of(&ctx.listener), Interest::read()));
-        fds.push(PollFd::new(poller::fd_of(&ctx.wake_rx), Interest::read()));
-        for (&id, conn) in conns.iter() {
-            fds.push(PollFd::new(
-                poller::fd_of(&conn.stream),
-                Interest {
-                    readable: conn.wants_read(ctx.max_pipeline),
-                    writable: conn.wants_write(),
-                },
-            ));
-            ids.push(id);
-        }
+        ctx.front.wait(&mut fds, None);
+        let jobs = ctx.front.service(&fds);
+        ctx.submit(jobs);
+    }
+}
 
-        // Sleep until readiness, the waker, or the nearest deadline. With
-        // no deadlines pending this blocks indefinitely: an idle server
-        // makes zero wakeups.
-        let timeout = nearest_deadline(&conns);
-        if poller::wait(&mut fds, timeout).is_err() {
-            // poll(2) failures other than EINTR (absorbed by the poller)
-            // are exotic; back off so a persistent one cannot spin the loop
-            std::thread::sleep(Duration::from_millis(1));
-            continue;
-        }
-
-        if fds[POLL_WAKER].ready.readable || fds[POLL_WAKER].ready.hangup {
-            poller::drain(&mut ctx.wake_rx);
-        }
-        if fds[POLL_LISTENER].ready.readable {
-            accept_ready(&ctx, &mut conns, &mut next_id);
-        }
-
-        let now = Instant::now();
-        let mut dead: Vec<u64> = Vec::new();
-        for (i, &id) in ids.iter().enumerate() {
-            let ready = fds[i + 2].ready;
-            let Some(conn) = conns.get_mut(&id) else {
-                continue;
-            };
-            let mut close = false;
-            if ready.readable || ready.hangup {
-                close = service_input(&ctx, id, conn);
+impl LoopCtx {
+    fn submit(&mut self, jobs: Vec<Request>) {
+        for job in jobs {
+            if let Err(mpsc::SendError(job)) = self.jobs_tx.send(job) {
+                self.front.close(job.conn); // workers gone: shutting down
             }
-            if !close && (ready.writable || conn.wants_write()) {
-                close = conn.try_write(ctx.io_timeout).is_err();
-            }
-            if !close {
-                if conn.read_deadline.is_some_and(|d| now >= d) {
-                    // slow loris: started a frame, trickled it in too slowly
-                    conn.fail_and_close(encode_frame(
-                        op::ERR,
-                        &err_payload(ErrorCode::Timeout, "slow peer: frame stalled", None),
-                    ));
-                    let _ = conn.try_write(ctx.io_timeout);
-                }
-                if conn.write_deadline.is_some_and(|d| now >= d) {
-                    close = true; // peer stopped accepting our replies
-                }
-            }
-            if close || conn.finished() {
-                dead.push(id);
-            }
-        }
-        for id in dead {
-            close_conn(&ctx, &mut conns, id);
         }
     }
 }
 
-/// Apply queued completions; returns the ids of connections touched.
-fn apply_completions(ctx: &LoopCtx, conns: &mut HashMap<u64, Conn>) -> Vec<u64> {
-    let mut touched = Vec::new();
-    for c in ctx.completions.drain() {
+fn apply_completions(completions: &Mailbox<Completion>, front: &mut Front) {
+    for c in completions.drain() {
         match c {
             Completion::Done {
                 conn_id,
                 seq,
                 outcome,
-            } => {
-                if let Some(conn) = conns.get_mut(&conn_id) {
-                    conn.finish(seq, outcome);
-                    touched.push(conn_id);
-                }
-            }
-            Completion::ConnLost { conn_id } => close_conn(ctx, conns, conn_id),
+            } => front.finish(conn_id, seq, outcome),
+            Completion::ConnLost { conn_id } => front.close(conn_id),
         }
-    }
-    touched
-}
-
-/// The soonest pending read/write deadline across all connections, as a
-/// poll timeout; `None` when nothing is pending.
-fn nearest_deadline(conns: &HashMap<u64, Conn>) -> Option<Duration> {
-    let now = Instant::now();
-    let mut timeout: Option<Duration> = None;
-    for conn in conns.values() {
-        for d in [conn.read_deadline, conn.write_deadline]
-            .into_iter()
-            .flatten()
-        {
-            let left = d.saturating_duration_since(now);
-            timeout = Some(timeout.map_or(left, |t| t.min(left)));
-        }
-    }
-    timeout
-}
-
-fn close_conn(ctx: &LoopCtx, conns: &mut HashMap<u64, Conn>, id: u64) {
-    if conns.remove(&id).is_some() {
-        ctx.engine.note_conn_closed();
     }
 }
 
-/// Accept everything the backlog has (the listener is level-triggered, but
-/// draining it now saves poll round-trips under an accept storm).
-fn accept_ready(ctx: &LoopCtx, conns: &mut HashMap<u64, Conn>, next_id: &mut u64) {
-    loop {
-        let stream = match ctx.listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-            // Per-connection accept errors (ECONNABORTED etc.): skip it and
-            // keep draining; a persistent listener error surfaces as
-            // WouldBlock-free repeats, which the next poll absorbs.
-            Err(_) => return,
-        };
-        if ctx.fault.trip(FaultSite::Conn) == Some(FaultAction::Drop) {
-            continue; // spurious connection drop before the first frame
-        }
-        if ctx.max_conns != 0 && conns.len() >= ctx.max_conns {
-            // Best-effort rejection that must not block the loop: the
-            // socket goes nonblocking *before* the write, so a peer that
-            // connects with a full receive window costs one WouldBlock,
-            // not a stalled event loop. The frame is small enough to fit a
-            // fresh send buffer in practice; a peer that misses it still
-            // sees the close.
-            let mut stream = stream;
-            if stream.set_nonblocking(true).is_err() {
-                continue;
-            }
-            let _ = stream.set_nodelay(true);
-            let _ = write_frame(
-                &mut stream,
-                op::ERR,
-                &err_payload(
-                    ErrorCode::Busy,
-                    "connection limit reached",
-                    Some(ctx.engine.retry_after_ms()),
-                ),
-            );
-            continue;
-        }
-        if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-            continue;
-        }
-        let id = *next_id;
-        *next_id += 1;
-        conns.insert(id, Conn::new(stream));
-        ctx.engine.note_conn_open();
+impl FrontStats for Engine {
+    fn conn_opened(&self) {
+        self.note_conn_open();
     }
-}
 
-/// Read what the socket has and feed every complete frame to the workers.
-/// Returns `true` when the connection must close immediately.
-fn service_input(ctx: &LoopCtx, id: u64, conn: &mut Conn) -> bool {
-    let status = match conn.read_some() {
-        Ok(s) => s,
-        Err(_) => return true,
-    };
-    if extract_frames(ctx, id, conn) {
-        return true;
+    fn conn_closed(&self) {
+        self.note_conn_closed();
     }
-    if status == ReadStatus::Eof {
-        conn.close_input();
-    }
-    conn.finished()
-}
 
-/// Peel complete frames off the read buffer into pipeline slots and
-/// dispatch them to the workers. Called from `service_input` after a socket
-/// read, and again after completions free in-flight slots — frames past
-/// the pipeline cap (or arriving just before a peer EOF) live only in
-/// `Conn::read_buf`, invisible to `poll`, so slot-freeing is the edge that
-/// must resume parsing. Returns `true` when the connection must close
-/// immediately.
-fn extract_frames(ctx: &LoopCtx, id: u64, conn: &mut Conn) -> bool {
-    let mut extracted = false;
-    while conn.can_extract(ctx.max_pipeline) {
-        match conn.next_frame() {
-            FrameStep::Incomplete => break,
-            FrameStep::BadLength(len) => {
-                // cannot resync the stream after a bad length: reply, close
-                let code = if len > MAX_FRAME_LEN {
-                    ErrorCode::TooLarge
-                } else {
-                    ErrorCode::Malformed
-                };
-                conn.fail_and_close(encode_frame(
-                    op::ERR,
-                    &err_payload(code, &format!("bad frame length {len}"), None),
-                ));
-                break;
-            }
-            FrameStep::Frame {
-                opcode,
-                mut payload,
-            } => {
-                extracted = true;
-                // The read fault site fires per parsed frame, as the old
-                // per-read-attempt site effectively did: a drop severs the
-                // connection mid-stream, a stall stalls the loop — which is
-                // exactly what a stalled read did to the old per-conn thread,
-                // writ service-wide. A bitflip corrupts one payload byte in
-                // flight: the v4 checksum rejects the frame as `ERR Corrupt`;
-                // a legacy connection carries the damage into the decoder.
-                match ctx.fault.trip(FaultSite::Read) {
-                    Some(FaultAction::Drop) => return true,
-                    Some(FaultAction::BitFlip) if !payload.is_empty() => {
-                        let at = payload.len() / 2;
-                        payload[at] ^= 0x20;
-                    }
-                    _ => {}
-                }
-                // Version negotiation: HELLO is only legal as the very
-                // first frame and is answered inline — routing it through
-                // the worker pool would let a pipelined enveloped frame
-                // race the mode switch. Any later HELLO falls through to
-                // dispatch and gets ERR UnknownOpcode, exactly what a v3
-                // server says.
-                if opcode == op::HELLO && !conn.is_v4() && conn.requests_begun() == 0 {
-                    let reply = match Cursor::new(&payload).u16() {
-                        Ok(theirs) => {
-                            let negotiated = theirs.min(PROTOCOL_VERSION);
-                            if negotiated >= 4 {
-                                conn.set_v4();
-                            }
-                            encode_frame(op::OK_HELLO, &Builder::new().u16(negotiated).build())
-                        }
-                        Err(msg) => {
-                            encode_frame(op::ERR, &err_payload(ErrorCode::Malformed, &msg, None))
-                        }
-                    };
-                    conn.enqueue(&reply);
-                    continue;
-                }
-                // Envelope unwrap on a negotiated connection: verify the
-                // checksum trailer before any byte reaches a decoder. A
-                // mismatch rejects the *frame* — ERR Corrupt, counted —
-                // and the connection keeps serving.
-                let mut wire = None;
-                if conn.is_v4() {
-                    match unwrap_v4(opcode, &payload) {
-                        Ok((rid, inner)) => {
-                            let inner = inner.to_vec();
-                            wire = Some(rid);
-                            payload = inner;
-                        }
-                        Err(e) => {
-                            let (code, msg) = match e {
-                                EnvelopeError::Checksum => {
-                                    ctx.engine.note_crc_reject();
-                                    (ErrorCode::Corrupt, "frame failed payload checksum")
-                                }
-                                EnvelopeError::TooShort => {
-                                    (ErrorCode::Malformed, "v4 frame shorter than its envelope")
-                                }
-                            };
-                            let rid = v4_req_id_hint(&payload);
-                            let body = wrap_v4(op::ERR, rid, &err_payload(code, msg, None));
-                            conn.enqueue(&encode_frame(op::ERR, &body));
-                            continue;
-                        }
-                    }
-                }
-                if conn.in_flight > 0 {
-                    ctx.engine.note_frames_pipelined(1);
-                }
-                let seq = conn.begin_request();
-                let job = Job {
-                    conn_id: id,
-                    seq,
-                    opcode,
-                    payload,
-                    wire,
-                    received: Instant::now(),
-                };
-                if ctx.jobs_tx.send(job).is_err() {
-                    return true; // workers gone: shutting down
-                }
-            }
-        }
+    fn frame_pipelined(&self) {
+        self.note_frames_pipelined(1);
     }
-    conn.compact();
-    conn.update_read_deadline(ctx.io_timeout, extracted);
-    false
-}
 
-/// Post-shutdown grace: let in-flight requests resolve and their replies
-/// flush (bounded), so `SHUTDOWN` clients actually see `OK_BYE`. The only
-/// sleep here runs during teardown, never on the idle path.
-fn shutdown_drain(ctx: &LoopCtx, conns: &mut HashMap<u64, Conn>) {
-    let deadline = Instant::now() + Duration::from_millis(500);
-    while !conns.is_empty() && Instant::now() < deadline {
-        apply_completions(ctx, conns);
-        let mut done: Vec<u64> = Vec::new();
-        for (&id, conn) in conns.iter_mut() {
-            if conn.try_write(ctx.io_timeout).is_err()
-                || (!conn.wants_write() && conn.in_flight == 0)
-            {
-                done.push(id);
-            }
-        }
-        for id in done {
-            close_conn(ctx, conns, id);
-        }
-        if conns.is_empty() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    let leftover: Vec<u64> = conns.keys().copied().collect();
-    for id in leftover {
-        close_conn(ctx, conns, id);
+    fn crc_reject(&self) {
+        self.note_crc_reject();
     }
 }
 
@@ -768,7 +430,7 @@ fn worker_loop(ctx: &WorkerCtx, slot: usize) {
             guard.recv()
         };
         let Ok(job) = job else { return };
-        ctx.current[slot].store(job.conn_id + 1, Ordering::Release);
+        ctx.current[slot].store(job.conn + 1, Ordering::Release);
         // The worker fault site panics *outside* dispatch isolation on
         // purpose: it simulates a worker-killing bug and must be
         // survivable only via the watchdog respawn path.
@@ -776,7 +438,7 @@ fn worker_loop(ctx: &WorkerCtx, slot: usize) {
         let outcome = serve_job(ctx, &job);
         ctx.current[slot].store(0, Ordering::Release);
         ctx.completions.push(Completion::Done {
-            conn_id: job.conn_id,
+            conn_id: job.conn,
             seq: job.seq,
             outcome,
         });
@@ -785,7 +447,7 @@ fn worker_loop(ctx: &WorkerCtx, slot: usize) {
 
 /// Dispatch one request and shape the reply, including the `write` fault
 /// site (drop/torn/stall) that used to live at the socket write.
-fn serve_job(ctx: &WorkerCtx, job: &Job) -> Outcome {
+fn serve_job(ctx: &WorkerCtx, job: &Request) -> Outcome {
     // Dispatch isolation: any panic that slips past the engine's own
     // guards becomes ERR Internal on this connection, not a dead worker.
     let dispatched = panic::catch_unwind(AssertUnwindSafe(|| {
@@ -923,21 +585,6 @@ fn engine_err(e: &EngineError) -> Dispatch {
     }
 }
 
-/// The effective request deadline: the client's ask clamped to the server
-/// cap; the cap alone when the client sent none. `None` only when both are
-/// unset.
-fn effective_deadline(client_ms: u64, cap: Duration, now: Instant) -> Option<Instant> {
-    let client = (client_ms > 0).then(|| Duration::from_millis(client_ms));
-    let cap = (!cap.is_zero()).then_some(cap);
-    let budget = match (client, cap) {
-        (Some(c), Some(k)) => Some(c.min(k)),
-        (Some(c), None) => Some(c),
-        (None, Some(k)) => Some(k),
-        (None, None) => None,
-    };
-    budget.map(|b| now + b)
-}
-
 fn dispatch(
     engine: &Engine,
     shutdown: &AtomicBool,
@@ -979,7 +626,8 @@ fn dispatch(
             })();
             match parsed {
                 Ok((fp, deadline_ms, rhs, flags)) => {
-                    let deadline = effective_deadline(deadline_ms, deadline_cap, received);
+                    let deadline =
+                        effective_budget(deadline_ms, deadline_cap).map(|b| received + b);
                     if flags & SOLVE_FLAG_CERTIFIED != 0 {
                         match engine.solve_certified(fp, rhs, deadline) {
                             Ok(out) => Dispatch::Reply(

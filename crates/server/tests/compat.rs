@@ -4,16 +4,12 @@
 //! byte-unchanged. A legacy client never sends `HELLO`; its frames carry
 //! no envelope and its replies must carry none either. A v4 client
 //! negotiates up front and gets request ids echoed plus a checksum
-//! trailer on every reply. A `HELLO` that arrives *after* the first
-//! request is an ordinary unknown opcode — refused, connection kept —
-//! which is also exactly how a v3 server answers a v4 peer's opening
-//! `HELLO` (the refusal is the downgrade signal).
+//! trailer on every reply. The late-`HELLO` and corrupt-frame cases are
+//! front-end behaviour shared with the router and run against both in
+//! `crates/router/tests/frontend.rs`.
 
 use trisolv_matrix::gen;
-use trisolv_server::{
-    protocol, protocol::op, protocol::ErrorCode, Client, ClientOptions, EngineOptions, ExecMode,
-    Server, ServerOptions,
-};
+use trisolv_server::{Client, ClientOptions, EngineOptions, ExecMode, Server, ServerOptions};
 
 fn spawn_server() -> trisolv_server::RunningServer {
     Server::spawn(ServerOptions {
@@ -107,31 +103,6 @@ fn v4_client_negotiates_and_answers_match_legacy() {
     server.join();
 }
 
-/// `HELLO` after the first request is an unknown opcode (the v3 answer),
-/// and the refusal leaves the connection serving.
-#[test]
-fn late_hello_is_refused_without_condemning_the_connection() {
-    let server = spawn_server();
-    let mut client = Client::connect(server.local_addr().to_string()).unwrap();
-    let a = gen::grid2d_laplacian(4, 4);
-    let fp = client.load(&a).unwrap().fingerprint;
-
-    let hello = protocol::Builder::new().u16(4).build();
-    let mut bytes = Vec::new();
-    protocol::write_frame(&mut bytes, op::HELLO, &hello).unwrap();
-    client.send_raw(&bytes).unwrap();
-    let (opcode, payload) = client.recv_raw().unwrap();
-    assert_eq!(opcode, op::ERR);
-    let (code, _, _) = protocol::parse_err(&payload).unwrap();
-    assert_eq!(code, Some(ErrorCode::UnknownOpcode));
-
-    // the connection still serves — and still in legacy framing
-    let b = gen::random_rhs(16, 1, 9);
-    assert_eq!(client.solve(fp, b.col(0)).unwrap().len(), 16);
-    server.shutdown();
-    server.join();
-}
-
 /// The `write.bitflip` fault site corrupts server replies *after* the
 /// envelope is sealed, so a negotiated client's checksum check must catch
 /// every flipped reply — silent wire corruption cannot become a wrong
@@ -174,68 +145,6 @@ fn server_write_bitflips_are_caught_by_the_client_checksum() {
         caught >= 2,
         "every other reply was flipped; caught {caught}"
     );
-    server.shutdown();
-    drop(client);
-    server.join();
-}
-
-/// End-to-end integrity: a negotiated frame whose payload was flipped in
-/// transit is refused as `ERR Corrupt`, counted, and the connection keeps
-/// serving — one damaged frame is not a teardown.
-#[test]
-fn corrupt_v4_frame_is_rejected_and_the_connection_survives() {
-    let server = spawn_server();
-    let mut client = Client::connect(server.local_addr().to_string()).unwrap();
-
-    // negotiate by hand so the rest of the exchange can use raw frames
-    let mut bytes = Vec::new();
-    protocol::write_frame(
-        &mut bytes,
-        op::HELLO,
-        &protocol::Builder::new().u16(4).build(),
-    )
-    .unwrap();
-    client.send_raw(&bytes).unwrap();
-    let (opcode, payload) = client.recv_raw().unwrap();
-    assert_eq!(opcode, op::OK_HELLO);
-    assert_eq!(protocol::Cursor::new(&payload).u16().unwrap(), 4);
-
-    // a STATS wrapped in the v4 envelope, then one bit flipped mid-payload
-    let mut wrapped = protocol::wrap_v4(op::STATS, 7, &[]);
-    let mid = wrapped.len() / 2;
-    wrapped[mid] ^= 0x01;
-    let mut bytes = Vec::new();
-    protocol::write_frame(&mut bytes, op::STATS, &wrapped).unwrap();
-    client.send_raw(&bytes).unwrap();
-    let (opcode, payload) = client.recv_raw().unwrap();
-    assert_eq!(opcode, op::ERR);
-    let (_, inner) = protocol::unwrap_v4(op::ERR, &payload).expect("ERR reply is enveloped");
-    let (code, _, _) = protocol::parse_err(inner).unwrap();
-    assert_eq!(code, Some(ErrorCode::Corrupt));
-
-    // the undamaged retry on the same connection succeeds, and the reject
-    // shows up in the counters
-    let wrapped = protocol::wrap_v4(op::STATS, 8, &[]);
-    let mut bytes = Vec::new();
-    protocol::write_frame(&mut bytes, op::STATS, &wrapped).unwrap();
-    client.send_raw(&bytes).unwrap();
-    let (opcode, payload) = client.recv_raw().unwrap();
-    assert_eq!(opcode, op::OK_STATS);
-    let (rid, inner) = protocol::unwrap_v4(op::OK_STATS, &payload).unwrap();
-    assert_eq!(rid, 8, "reply echoes the request id");
-    let mut c = protocol::Cursor::new(inner);
-    let count = c.u64().unwrap();
-    let mut crc_rejects = None;
-    for _ in 0..count {
-        let klen = c.u16().unwrap() as usize;
-        let key = String::from_utf8(c.bytes(klen).unwrap().to_vec()).unwrap();
-        let val = c.u64().unwrap();
-        if key == "crc_rejects" {
-            crc_rejects = Some(val);
-        }
-    }
-    assert_eq!(crc_rejects, Some(1), "the flipped frame was counted");
-
     server.shutdown();
     drop(client);
     server.join();

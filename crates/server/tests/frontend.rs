@@ -1,8 +1,10 @@
-//! Event-driven front-end tests: pipelining, idle fan-in, slow-loris
-//! cutoff, torn-frame recovery, and the retry/overflow bug fixes.
+//! Event-driven front-end tests: pipelining, idle fan-in, torn-frame
+//! recovery, and the retry/overflow bug fixes. The client-facing
+//! regressions shared with the router (pipeline-cap bursts, connection
+//! limit, slow loris) run against both in `crates/router/tests/frontend.rs`.
 
 use std::io::{Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -84,152 +86,6 @@ fn pipelined_solves_in_order_bit_identical() {
     server.join();
 }
 
-/// Read one `len | opcode | payload` frame off a raw socket.
-fn read_frame(s: &mut TcpStream) -> std::io::Result<(u8, Vec<u8>)> {
-    let mut len = [0u8; 4];
-    s.read_exact(&mut len)?;
-    let mut body = vec![0u8; u32::from_le_bytes(len) as usize];
-    s.read_exact(&mut body)?;
-    Ok((body[0], body[1..].to_vec()))
-}
-
-/// Regression: a burst larger than `max_pipeline` is drained into the
-/// connection's read buffer by one socket read, where level-triggered poll
-/// can never see it again — admission must resume when completions free
-/// pipeline slots, not on socket readiness. With the cap at 1 the old loop
-/// answered exactly one request and stranded the rest forever; the tentpole
-/// test's 12-frame burst never tripped this because it sat under the
-/// default cap of 64.
-#[test]
-fn burst_past_pipeline_cap_is_fully_answered() {
-    let mut o = opts(ExecMode::Seq, 4, 4);
-    o.max_pipeline = 1;
-    let server = Server::spawn(o).unwrap();
-    let addr = server.local_addr().to_string();
-    // bounded reads so a stranded frame fails the test instead of hanging
-    // it; pinned to the legacy protocol because the burst below is raw
-    // legacy-framed bytes
-    let mut client = Client::connect_with(
-        &addr,
-        ClientOptions {
-            request_timeout: Duration::from_secs(5),
-            max_version: 3,
-            ..ClientOptions::default()
-        },
-    )
-    .unwrap();
-
-    let n = 36;
-    let a = gen::grid2d_laplacian(6, 6);
-    let reference = SparseCholeskySolver::factor(&a).unwrap();
-    let fp = client.load(&a).unwrap().fingerprint;
-
-    let nreq = 8;
-    let rhs: Vec<DenseMatrix> = (0..nreq)
-        .map(|i| gen::random_rhs(n, 1, 100 + i as u64))
-        .collect();
-    let mut burst = Vec::new();
-    for b in &rhs {
-        let payload = protocol::Builder::new()
-            .fingerprint(fp)
-            .u64(0)
-            .u64(n as u64)
-            .f64_slice(b.col(0))
-            .build();
-        protocol::write_frame(&mut burst, op::SOLVE, &payload).unwrap();
-    }
-    client.send_raw(&burst).unwrap();
-    for (i, b) in rhs.iter().enumerate() {
-        let (opcode, reply) = client
-            .recv_raw()
-            .unwrap_or_else(|e| panic!("request {i} stranded past the pipeline cap: {e}"));
-        assert_eq!(opcode, op::OK_SOLVED, "request {i}");
-        let mut c = protocol::Cursor::new(&reply);
-        let len = c.usize().unwrap();
-        assert_eq!(
-            c.f64_vec(len).unwrap().as_slice(),
-            reference.solve(b).col(0),
-            "reply {i} out of order"
-        );
-    }
-
-    // EOF variant: the whole burst lands and the peer half-closes before
-    // reading a single reply. Frames already in userspace owe nothing to
-    // the socket — every one must still be answered, then the server
-    // closes. The old loop silently dropped everything past the cap here.
-    let mut raw = TcpStream::connect(&addr).unwrap();
-    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    raw.write_all(&burst).unwrap();
-    raw.shutdown(Shutdown::Write).unwrap();
-    for i in 0..nreq {
-        let (opcode, _) =
-            read_frame(&mut raw).unwrap_or_else(|e| panic!("request {i} dropped at peer EOF: {e}"));
-        assert_eq!(opcode, op::OK_SOLVED, "request {i} after half-close");
-    }
-    let mut probe = [0u8; 1];
-    assert_eq!(
-        raw.read(&mut probe).unwrap_or(0),
-        0,
-        "server must close once the flush drains"
-    );
-
-    client.shutdown_server().unwrap();
-    server.join();
-}
-
-/// Regression: rejecting a connection over `max_conns` must never block
-/// the event loop — the `ERR Busy` write is best-effort on a nonblocking
-/// socket, so peers that connect and never read cannot stall service for
-/// the admitted connection.
-#[test]
-fn conn_limit_rejection_never_blocks_the_loop() {
-    let mut o = opts(ExecMode::Threaded, 4, 4);
-    o.max_conns = 1;
-    let server = Server::spawn(o).unwrap();
-    let addr = server.local_addr().to_string();
-
-    let mut client = Client::connect_with(
-        &addr,
-        ClientOptions {
-            request_timeout: Duration::from_secs(5),
-            ..ClientOptions::default()
-        },
-    )
-    .unwrap();
-    let a = gen::grid2d_laplacian(6, 6);
-    let fp = client.load(&a).unwrap().fingerprint;
-
-    // peers that connect but never read a byte
-    let rejected: Vec<TcpStream> = (0..8)
-        .map(|_| TcpStream::connect(&addr).expect("reject connect"))
-        .collect();
-
-    // the admitted connection keeps being served promptly
-    for seed in 0..4 {
-        let b = gen::random_rhs(36, 1, seed);
-        assert_eq!(client.solve(fp, b.col(0)).unwrap().len(), 36);
-    }
-
-    // each rejected peer got the best-effort ERR Busy, then a close
-    for (i, mut s) in rejected.into_iter().enumerate() {
-        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let (opcode, payload) = read_frame(&mut s)
-            .unwrap_or_else(|e| panic!("rejected peer {i} never got ERR Busy: {e}"));
-        assert_eq!(opcode, op::ERR, "peer {i}");
-        let mut c = protocol::Cursor::new(&payload);
-        assert_eq!(c.u16().unwrap(), ErrorCode::Busy as u16, "peer {i}");
-        let mut probe = [0u8; 1];
-        assert_eq!(
-            s.read(&mut probe).unwrap_or(0),
-            0,
-            "peer {i} must be closed"
-        );
-    }
-
-    client.shutdown_server().unwrap();
-    server.join();
-}
-
 /// Satellite: hundreds of idle connections must not consume solver workers.
 /// With only 2 workers, the old thread-per-connection front end parks both
 /// on the first two idle sockets and the active client starves.
@@ -259,40 +115,6 @@ fn many_idle_connections_dont_starve_service() {
     }
 
     drop(idle);
-    client.shutdown_server().unwrap();
-    server.join();
-}
-
-/// Satellite: a peer that starts a frame and stalls is cut loose with
-/// `ERR Timeout` once the io budget expires — re-pinned against the event
-/// loop's read-deadline path.
-#[test]
-fn slow_loris_is_cut_loose() {
-    let mut o = opts(ExecMode::Threaded, 4, 4);
-    o.io_timeout = Duration::from_millis(200);
-    let server = Server::spawn(o).unwrap();
-    let addr = server.local_addr().to_string();
-
-    let mut loris = Client::connect(&addr).unwrap();
-    // length says 20 bytes; send the prefix plus two bytes and stall
-    let mut partial = 20u32.to_le_bytes().to_vec();
-    partial.extend_from_slice(&[op::SOLVE, 0x00]);
-    loris.send_raw(&partial).unwrap();
-
-    let (opcode, payload) = loris.recv_raw().expect("ERR Timeout before close");
-    assert_eq!(opcode, op::ERR);
-    let mut c = protocol::Cursor::new(&payload);
-    assert_eq!(c.u16().unwrap(), ErrorCode::Timeout as u16);
-    // ...and the connection is then closed
-    assert!(loris.recv_raw().is_err());
-
-    // a well-behaved client is untouched
-    let mut client = Client::connect(&addr).unwrap();
-    let a = gen::grid2d_laplacian(6, 6);
-    let fp = client.load(&a).unwrap().fingerprint;
-    let b = gen::random_rhs(36, 1, 3);
-    assert_eq!(client.solve(fp, b.col(0)).unwrap().len(), 36);
-
     client.shutdown_server().unwrap();
     server.join();
 }
