@@ -178,19 +178,28 @@ fn bench_seq_solve() {
             trisolv_core::threaded::forward_backward(f, &b10)
         }),
     );
-    // wall-clock effect of supernode amalgamation (fatter dense blocks)
+    // wall-clock effect of supernode amalgamation (fatter dense blocks):
+    // the production relaxation against the fundamental partition
     {
         let graph = trisolv_graph::Graph::from_sym_lower(&a);
         let perm =
             trisolv_graph::nd::nested_dissection(&graph, trisolv_graph::nd::NdOptions::default());
         let an = trisolv_factor::seqchol::analyze_with_perm(&a, &perm);
-        let am = an.part.amalgamate(16, 0.15);
-        let f_am = trisolv_factor::seqchol::factor_supernodal(&an.pa, &am).unwrap();
-        report(
-            "solver",
-            "seq_fb_grid63_nrhs10_amalgamated",
-            measure(10, 0.5, || trisolv_core::seq::forward_backward(&f_am, &b10)),
-        );
+        let (abs, frac) = trisolv_core::seq::RELAX;
+        for (name, part) in [
+            (
+                "seq_fb_grid63_nrhs10_amalgamated",
+                an.part.amalgamate(abs, frac),
+            ),
+            ("seq_fb_grid63_nrhs10_fundamental", an.part.clone()),
+        ] {
+            let f = trisolv_factor::seqchol::factor_supernodal(&an.pa, &part).unwrap();
+            report(
+                "solver",
+                name,
+                measure(10, 0.5, || trisolv_core::seq::forward_backward(&f, &b10)),
+            );
+        }
         // simplicial CSC baseline: same arithmetic, column-at-a-time
         let l_csc = trisolv_factor::seqchol::factor_simplicial(&an.pa, &an.sym).unwrap();
         report(

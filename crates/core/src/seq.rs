@@ -377,6 +377,45 @@ pub fn solve_ldlt_csc(l: &CscMatrix, d: &[f64], b: &DenseMatrix) -> DenseMatrix 
     backward_csc(l, &z)
 }
 
+/// The supernode relaxation `(relax_abs, relax_frac)` of every production
+/// factor ([`SparseCholeskySolver`] and, through it, the solve service's
+/// cache, heal, promotion and snapshots), applied with
+/// [`SupernodePartition::amalgamate`](trisolv_symbolic::SupernodePartition::amalgamate).
+///
+/// Each supernode costs the substitution a fixed startup (children
+/// gather, kernel entry, scheduling) on top of its flops — the paper's
+/// `t_s + m·t_w` — and fundamental supernodes on 2-D/3-D meshes average
+/// under 1.8 columns, so that startup dominates. `(16, 0.05)` was chosen
+/// from a wall-clock sweep (`ablation_amalgamation`): it cuts
+/// `grid2d:112` from 9245 to 3484 supernodes and speeds sequential and
+/// threaded solves ~1.5× on the serving benchmark's matrices, while the
+/// padding stays below what the dropped row indices save, so no cache
+/// entry grows (looser rules such as `(8, 0.1)` let a large separator
+/// merge pad more than it saves on some meshes). A fixed rule
+/// (not per-machine calibration) keeps the partition a pure function of
+/// the matrix structure, which snapshot recovery and seq == threaded
+/// bit-identity rely on. Changing it changes the factor layout, so it
+/// must come with a new snapshot format version.
+pub const RELAX: (usize, f64) = (16, 0.05);
+
+/// The production symbolic pipeline: fill-reducing permutation composed
+/// with the elimination-tree postorder, then the relaxed supernode
+/// partition. The one place the production partition rule is applied;
+/// `seqchol::analyze_with_perm` itself stays fundamental (the simulator and
+/// the paper's figures use it).
+fn analyze(a: &CscMatrix, fill_perm: &Permutation) -> seqchol::Analysis {
+    let mut an = seqchol::analyze_with_perm(a, fill_perm);
+    an.part = an.part.amalgamate(RELAX.0, RELAX.1);
+    an
+}
+
+/// The default fill-reducing ordering: nested dissection of the matrix
+/// graph.
+fn nd_order(a: &CscMatrix) -> Permutation {
+    let g = trisolv_graph::Graph::from_sym_lower(a);
+    trisolv_graph::nd::nested_dissection(&g, trisolv_graph::nd::NdOptions::default())
+}
+
 /// End-to-end sequential sparse SPD solver: ordering + symbolic +
 /// factorization are done once at construction, after which any number of
 /// right-hand-side blocks can be solved.
@@ -414,7 +453,7 @@ impl SparseCholeskySolver {
         fill_perm: &Permutation,
         opts: seqchol::FactorOptions,
     ) -> Result<Self, MatrixError> {
-        let an = seqchol::analyze_with_perm(a, fill_perm);
+        let an = analyze(a, fill_perm);
         let factor = seqchol::factor_supernodal_opts(&an.pa, &an.part, opts)?;
         let plan = SolvePlan::new(factor.partition())
             .expect("internally built factors have nested supernode structure");
@@ -433,9 +472,7 @@ impl SparseCholeskySolver {
 
     /// [`Self::factor`] with an explicit factorization policy.
     pub fn factor_opts(a: &CscMatrix, opts: seqchol::FactorOptions) -> Result<Self, MatrixError> {
-        let g = trisolv_graph::Graph::from_sym_lower(a);
-        let p = trisolv_graph::nd::nested_dissection(&g, trisolv_graph::nd::NdOptions::default());
-        Self::factor_with_perm_opts(a, &p, opts)
+        Self::factor_with_perm_opts(a, &nd_order(a), opts)
     }
 
     /// Rebuild a solver from a matrix plus the flat numeric factor values a
@@ -444,21 +481,19 @@ impl SparseCholeskySolver {
     /// (`block(0).as_slice() ++ block(1).as_slice() ++ …`).
     ///
     /// Re-runs the deterministic symbolic pipeline — nested dissection,
-    /// supernode analysis, plan construction — and skips only the numeric
-    /// factorization, so the rebuilt solver is bit-identical to the one the
-    /// values were taken from: the permutation, partition, and plan are
-    /// pure functions of the matrix structure, and the values are restored
-    /// verbatim. Fails with `InvalidStructure` when the value count does
-    /// not match the partition the matrix analyzes to (a stale or foreign
-    /// snapshot).
+    /// supernode analysis relaxed by [`RELAX`], plan construction — and
+    /// skips only the numeric factorization, so the rebuilt solver is
+    /// bit-identical to the one the values were taken from: the
+    /// permutation, partition, and plan are pure functions of the matrix
+    /// structure, and the values are restored verbatim. Fails with
+    /// `InvalidStructure` when the value count does not match the
+    /// partition the matrix analyzes to (a stale or foreign snapshot).
     pub fn from_factor_values(
         a: &CscMatrix,
         values: &[f64],
         perturbations: Vec<(usize, f64)>,
     ) -> Result<Self, MatrixError> {
-        let g = trisolv_graph::Graph::from_sym_lower(a);
-        let p = trisolv_graph::nd::nested_dissection(&g, trisolv_graph::nd::NdOptions::default());
-        let an = seqchol::analyze_with_perm(a, &p);
+        let an = analyze(a, &nd_order(a));
         let total: usize = (0..an.part.nsup())
             .map(|s| an.part.height(s) * an.part.width(s))
             .sum();
@@ -618,9 +653,7 @@ impl SparseCholeskySolverF32 {
         values: &[f32],
         perturbations: Vec<(usize, f64)>,
     ) -> Result<Self, MatrixError> {
-        let g = trisolv_graph::Graph::from_sym_lower(a);
-        let p = trisolv_graph::nd::nested_dissection(&g, trisolv_graph::nd::NdOptions::default());
-        let an = seqchol::analyze_with_perm(a, &p);
+        let an = analyze(a, &nd_order(a));
         let factor = SupernodalFactorF32::from_flat_values(an.part, values, perturbations)?;
         let plan = SolvePlan::new(factor.partition())
             .expect("internally built factors have nested supernode structure");
@@ -761,6 +794,52 @@ mod tests {
         let err =
             SparseCholeskySolverF32::from_factor_values(&a, &values[..values.len() - 1], vec![]);
         assert!(matches!(err, Err(MatrixError::InvalidStructure(_))));
+    }
+
+    #[test]
+    fn production_partition_is_the_relaxed_one() {
+        // Pins the partition rule (and `amalgamate`'s output under it):
+        // snapshots version 3 are laid out in exactly this partition.
+        let a = gen::from_spec("grid2d:112").unwrap();
+        let p = nd_order(&a);
+        let fundamental = analyze_with_perm(&a, &p).part;
+        let relaxed = analyze(&a, &p).part;
+        assert_eq!((fundamental.nsup(), relaxed.nsup()), (9245, 3484));
+        assert_eq!(relaxed.n(), fundamental.n());
+    }
+
+    #[test]
+    fn production_factor_seq_and_threaded_are_bit_identical() {
+        use crate::ThreadedSolver;
+        for (name, a) in [
+            ("grid2d", gen::grid2d_laplacian(17, 15)),
+            ("grid3d", gen::grid3d_laplacian(6, 6, 5)),
+            ("mesh2d", gen::from_spec("mesh2d:14:5").unwrap()),
+        ] {
+            let solver = SparseCholeskySolver::factor(&a).unwrap();
+            let (f, plan) = (solver.factor_matrix(), solver.plan());
+            let f32_solver = solver.demote();
+            let f32f = f32_solver.factor_matrix();
+            for nrhs in [1usize, 3] {
+                let b = gen::random_rhs(a.ncols(), nrhs, 31);
+                let x = backward(f, &forward_with_plan(f, plan, &b));
+                let x32 = backward_any(f32f, &forward_with_plan_any(f32f, plan, &b));
+                for t in [1usize, 2, 4] {
+                    let thr = ThreadedSolver::new(f).unwrap().with_threads(t);
+                    let mut ws = thr.workspace(nrhs);
+                    let got = thr.forward_backward_with(&b, &mut ws);
+                    assert_eq!(got.as_slice(), x.as_slice(), "{name} f64 t={t} nrhs={nrhs}");
+                    let thr = ThreadedSolver::new(f32f).unwrap().with_threads(t);
+                    let mut ws = thr.workspace(nrhs);
+                    let got = thr.forward_backward_with(&b, &mut ws);
+                    assert_eq!(
+                        got.as_slice(),
+                        x32.as_slice(),
+                        "{name} f32 t={t} nrhs={nrhs}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

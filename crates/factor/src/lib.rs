@@ -34,3 +34,6 @@ pub mod snfactor;
 pub use fscalar::{FScalar, FactorBlocks};
 pub use mapping::SubcubeMapping;
 pub use snfactor::{SupernodalFactor, SupernodalFactorF32};
+/// The partition type every factor is stored in, re-exported so callers
+/// that size or inspect factors need not depend on the symbolic crate.
+pub use trisolv_symbolic::SupernodePartition;

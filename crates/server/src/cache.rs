@@ -17,6 +17,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use trisolv_core::{
     SolvePlan, SolveWorkspace, SparseCholeskySolver, SparseCholeskySolverF32, SubtreeSchedule,
 };
+use trisolv_factor::SupernodePartition;
 use trisolv_graph::Permutation;
 use trisolv_matrix::{CscMatrix, DenseMatrix};
 
@@ -89,15 +90,12 @@ impl SolverLane {
         }
     }
 
-    /// Total row-index entries across all supernode row lists — the
-    /// factor's *structural* storage, one `usize` per trapezoid row (not
-    /// per nonzero: the blocks themselves are dense).
-    pub fn structure_rows(&self) -> usize {
-        let part = match self {
+    /// The supernode partition the factor is stored in.
+    pub fn partition(&self) -> &SupernodePartition {
+        match self {
             SolverLane::F64(s) => s.factor_matrix().partition(),
             SolverLane::F32(s) => s.factor_matrix().partition(),
-        };
-        (0..part.nsup()).map(|s| part.height(s)).sum()
+        }
     }
 
     /// Bytes per stored factor value: 8 for `f64`, 4 for `f32`. This is
@@ -231,16 +229,8 @@ impl FactorEntry {
     ) -> FactorEntry {
         let solver = solver.into();
         let n = solver.n();
-        // Estimate charging the *stored* factor values at their native
-        // width (8 B/value f64, 4 B/value f32 — demotion halves the
-        // dominant term), plus supernode row lists (8 B per trapezoid row;
-        // the dense blocks carry no per-nonzero indices), the retained f64
-        // matrix arrays (~16 B/nnz), and plan/permutation/supernode
-        // metadata (~96 B/row).
-        let bytes = solver.value_count() * solver.bytes_per_value()
-            + solver.structure_rows() * 8
-            + matrix.nnz() * 16
-            + n * 96;
+        let bytes =
+            FactorEntry::estimate_bytes(solver.partition(), solver.bytes_per_value(), &matrix);
         let schedule = solver.plan().subtree_schedule(solver_threads.max(1));
         let checksum = solver.digest();
         FactorEntry {
@@ -256,6 +246,25 @@ impl FactorEntry {
             workspaces: Mutex::new(Vec::new()),
             workspaces32: Mutex::new(Vec::new()),
         }
+    }
+
+    /// The resident-size estimate charged against the cache budget for a
+    /// factor stored in `part` at `bytes_per_value` per value, retaining
+    /// `matrix`: the *stored* trapezoid values at their native width (8 B
+    /// f64, 4 B f32 — demotion halves the dominant term), plus supernode
+    /// row lists (8 B per trapezoid row; the dense blocks carry no
+    /// per-nonzero indices), the retained f64 matrix arrays (~16 B/nnz),
+    /// and plan/permutation/supernode metadata (~96 B/row). Relaxed
+    /// supernodes trade padded values against fewer row-list entries.
+    pub fn estimate_bytes(
+        part: &SupernodePartition,
+        bytes_per_value: usize,
+        matrix: &CscMatrix,
+    ) -> usize {
+        let (values, rows) = (0..part.nsup()).fold((0, 0), |(v, r), s| {
+            (v + part.height(s) * part.width(s), r + part.height(s))
+        });
+        values * bytes_per_value + rows * 8 + matrix.nnz() * 16 + part.n() * 96
     }
 
     /// Re-digest the factor values and compare against the checksum taken
@@ -651,6 +660,40 @@ mod tests {
             2,
             BatchLane::new(BatchOptions::default()),
         ))
+    }
+
+    #[test]
+    fn relaxed_supernodes_do_not_grow_cache_entries() {
+        // Cache density guard: the production partition rule may pad
+        // values only as far as the row indices it drops pay for them, so
+        // a byte budget keeps holding as many entries as under fundamental
+        // supernodes (budgets sized from entry estimates depend on it).
+        let fundamental_and_relaxed = |a: &CscMatrix| {
+            let g = trisolv_graph::Graph::from_sym_lower(a);
+            let p = trisolv_graph::nd::nested_dissection(&g, Default::default());
+            let part = trisolv_factor::seqchol::analyze_with_perm(a, &p).part;
+            let relaxed = part.amalgamate(trisolv_core::seq::RELAX.0, trisolv_core::seq::RELAX.1);
+            (part, relaxed)
+        };
+        // the production solver stores its factor in exactly that partition
+        let a = gen::from_spec("mesh2d:12:3").unwrap();
+        let e = lane_entry(&a, false);
+        let (_, relaxed) = fundamental_and_relaxed(&a);
+        assert_eq!(e.solver.partition().nsup(), relaxed.nsup());
+        assert_eq!(e.bytes, FactorEntry::estimate_bytes(&relaxed, 8, &a));
+
+        let mut specs = vec!["grid2d:112".to_string(), "grid3d:20".to_string()];
+        specs.extend((1..=16).map(|s| format!("mesh2d:51:{s}")));
+        for spec in specs {
+            let a = gen::from_spec(&spec).unwrap();
+            let (fundamental, relaxed) = fundamental_and_relaxed(&a);
+            let before = FactorEntry::estimate_bytes(&fundamental, 8, &a);
+            let after = FactorEntry::estimate_bytes(&relaxed, 8, &a);
+            assert!(
+                after as f64 <= 1.01 * before as f64,
+                "{spec}: relaxed entry {after} B vs fundamental {before} B"
+            );
+        }
     }
 
     #[test]

@@ -202,7 +202,8 @@ pub struct LoadOutcome {
     pub fingerprint: Fingerprint,
     /// Matrix order.
     pub n: usize,
-    /// Nonzeros in the numeric factor.
+    /// Entries stored in the numeric factor at or below the diagonal,
+    /// including the explicit zeros relaxed supernodes pad in.
     pub factor_nnz: usize,
     /// Whether the factor was already resident (no factorization ran).
     pub already_cached: bool,
@@ -347,9 +348,11 @@ impl Engine {
     /// A fresh engine backed by an optional crash-consistent factor store.
     /// When a store is given, its recovery scan has already classified the
     /// on-disk snapshots; every survivor is inserted into the cache here, so
-    /// the engine starts warm — without re-running symbolic analysis *or*
-    /// numeric factorization (only the solve plan and subtree schedule are
-    /// recomputed, which DESIGN.md §12 guarantees is bit-identical).
+    /// the engine starts warm — without re-running numeric factorization
+    /// (only the symbolic pipeline, solve plan and subtree schedule are
+    /// recomputed, which DESIGN.md §12 guarantees is bit-identical). The
+    /// exception is a snapshot older than the relaxed partition, which the
+    /// scan refactors and this constructor queues for a rewrite.
     pub fn with_store(
         opts: EngineOptions,
         fault: FaultPlan,
@@ -390,7 +393,9 @@ impl Engine {
             // Warm restart: every snapshot that survived the recovery scan
             // becomes a resident cache entry. The entry's integrity checksum
             // is re-digested from the rebuilt factor, which the scan already
-            // verified equals the persisted one.
+            // verified equals the persisted one. A file from before the
+            // relaxed partition was refactored by the scan; rewrite it in
+            // the current format through the write-behind thread.
             let threads = eng.solver_threads();
             for rec in store.recover() {
                 let entry = Arc::new(FactorEntry::new(
@@ -400,6 +405,9 @@ impl Engine {
                     threads,
                     BatchLane::new(eng.opts.batch),
                 ));
+                if rec.upgraded {
+                    store.save(Arc::clone(&entry));
+                }
                 // A cache budget tighter than the disk budget can evict
                 // while warming; keep disk and RAM coherent.
                 for victim in eng.cache.insert(entry).evicted {

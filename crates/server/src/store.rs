@@ -33,12 +33,17 @@
 //! [`SparseCholeskySolver::from_factor_values`] and restores only the
 //! numeric values verbatim — a warm-restarted server answers bit-identically
 //! to one that never died, and the format does not have to version every
-//! internal scheduling structure.
+//! internal scheduling structure. The one structural rule that *is*
+//! versioned is the supernode partition the values are laid out in:
+//! version 3 means the relaxed production partition. Version-1/2 files
+//! (fundamental partition) are verified as usual, then refactored from
+//! their matrix instead of restored, and flagged
+//! [`RecoveredFactor::upgraded`] so the engine rewrites them.
 //!
 //! The recovery scan classifies every `*.factor` file as good (loaded),
 //! torn (short file or trailer-checksum mismatch), corrupt (checksum
 //! passes but the content is inconsistent — foreign writer, fingerprint
-//! mismatch, rebuild digest mismatch), or stale (wrong version or
+//! mismatch, factor digest mismatch), or stale (a newer version or another
 //! factorization policy); bad files are unlinked and counted, never
 //! panicked on. Fault sites `store.torn`, `store.stall`, and
 //! `store.bitflip` drill exactly the torn-write and silent-corruption
@@ -66,10 +71,16 @@ use crate::protocol::{Builder, Cursor};
 /// Leading magic of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"TSVF";
 /// Current snapshot format version. Version 2 added the precision tag and
-/// native-width (`f32`) factor payloads; version-1 files (implicitly `f64`)
-/// still load — recovery, not rejection, for every file an older server
-/// wrote.
-pub const SNAPSHOT_VERSION: u16 = 2;
+/// native-width (`f32`) factor payloads; version 3 keeps the version-2
+/// layout but its values are stored in the relaxed production partition
+/// ([`trisolv_core::seq::RELAX`]) — the version number implies the
+/// partition rule. Version-1 (implicitly `f64`) and version-2 files still
+/// load — recovery, not rejection, for every file an older server wrote:
+/// their matrix is verified and refactored into the recorded lane, and
+/// the engine rewrites them as version 3.
+pub const SNAPSHOT_VERSION: u16 = 3;
+/// First version whose factor values are in the relaxed partition.
+const RELAXED_SINCE: u16 = 3;
 /// Precision-tag byte: full-precision `f64` factor payload.
 pub const PRECISION_F64: u8 = 0;
 /// Precision-tag byte: demoted `f32` factor payload.
@@ -124,11 +135,18 @@ pub struct RecoveredFactor {
     /// The original matrix, retained for refinement and self-healing.
     pub matrix: CscMatrix,
     /// The rebuilt solver in its persisted precision lane; bit-identical
-    /// to the one that was persisted (version-1 snapshots are always
-    /// `f64`).
+    /// to the one that was persisted, or, for an upgraded file, to a fresh
+    /// [`SparseCholeskySolver::factor`] in that lane (version-1 snapshots
+    /// are always `f64`).
     pub solver: SolverLane,
-    /// The factor-integrity checksum carried in the snapshot.
+    /// The factor-integrity checksum carried in the snapshot (for an
+    /// upgraded file, the digest of the refactored values).
     pub checksum: Fingerprint,
+    /// The file predates the relaxed partition (version 1 or 2): its
+    /// values were not reused, the solver was refactored from the
+    /// verified matrix, and the file should be rewritten as the current
+    /// version.
+    pub upgraded: bool,
 }
 
 struct Ledger {
@@ -563,40 +581,54 @@ pub fn decode_snapshot(bytes: &[u8], expect: Fingerprint) -> Result<RecoveredFac
         }
         let checksum = c.fingerprint()?;
         let nvals = c.u64()? as usize;
-        let solver: SolverLane = if tag == PRECISION_F32 {
-            let fvals = c.f32_vec(nvals)?;
-            let perts = read_perturbations(&mut c, n)?;
-            c.finish()?;
-            let solver = SparseCholeskySolverF32::from_factor_values(&matrix, &fvals, perts)
-                .map_err(|e| e.to_string())?;
-            let digest = {
-                let f = solver.factor_matrix();
-                Fingerprint::of_value_slices_f32((0..f.nsup()).map(|s| f.values(s)))
-            };
-            if digest != checksum {
-                return Err("rebuilt factor does not match persisted checksum".to_string());
-            }
-            SolverLane::F32(solver)
+        let values = if tag == PRECISION_F32 {
+            Values::F32(c.f32_vec(nvals)?)
         } else {
-            let fvals = c.f64_vec(nvals)?;
-            let perts = read_perturbations(&mut c, n)?;
-            c.finish()?;
-            let solver = SparseCholeskySolver::from_factor_values(&matrix, &fvals, perts)
-                .map_err(|e| e.to_string())?;
-            let digest = {
-                let f = solver.factor_matrix();
-                Fingerprint::of_value_slices((0..f.nsup()).map(|s| f.block(s).as_slice()))
-            };
-            if digest != checksum {
-                return Err("rebuilt factor does not match persisted checksum".to_string());
-            }
-            SolverLane::F64(solver)
+            Values::F64(c.f64_vec(nvals)?)
         };
+        let perts = read_perturbations(&mut c, n)?;
+        c.finish()?;
+        // the digest streams over values, so the flat payload digests
+        // exactly like the per-supernode blocks it was taken from
+        let digest = match &values {
+            Values::F64(v) => Fingerprint::of_value_slices([v.as_slice()]),
+            Values::F32(v) => Fingerprint::of_value_slices_f32([v.as_slice()]),
+        };
+        if digest != checksum {
+            return Err("persisted factor does not match its checksum".to_string());
+        }
+        if version < RELAXED_SINCE {
+            // The values are laid out in the fundamental partition, which
+            // this server no longer builds: refactor from the verified
+            // matrix into the recorded lane and let the engine re-snapshot.
+            let solver = SparseCholeskySolver::factor(&matrix).map_err(|e| e.to_string())?;
+            let solver = if tag == PRECISION_F32 {
+                SolverLane::F32(solver.demote())
+            } else {
+                SolverLane::F64(solver)
+            };
+            return Ok(RecoveredFactor {
+                fingerprint: fp,
+                checksum: solver.digest(),
+                matrix,
+                solver,
+                upgraded: true,
+            });
+        }
+        let solver =
+            match values {
+                Values::F64(v) => SparseCholeskySolver::from_factor_values(&matrix, &v, perts)
+                    .map(SolverLane::F64),
+                Values::F32(v) => SparseCholeskySolverF32::from_factor_values(&matrix, &v, perts)
+                    .map(SolverLane::F32),
+            }
+            .map_err(|e| e.to_string())?;
         Ok(RecoveredFactor {
             fingerprint: fp,
             matrix,
             solver,
             checksum,
+            upgraded: false,
         })
     })();
     parsed.map_err(|reason| {
@@ -606,6 +638,12 @@ pub fn decode_snapshot(bytes: &[u8], expect: Fingerprint) -> Result<RecoveredFac
             DropReason::Corrupt
         }
     })
+}
+
+/// A snapshot's factor values at their persisted width.
+enum Values {
+    F64(Vec<f64>),
+    F32(Vec<f32>),
 }
 
 /// The perturbation ledger tail shared by both precision lanes (always

@@ -12,13 +12,16 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use trisolv_core::SparseCholeskySolver;
-use trisolv_matrix::gen;
+use trisolv_factor::seqchol::{analyze_with_perm, factor_supernodal, FactorOptions};
+use trisolv_graph::{nd, Graph};
+use trisolv_matrix::{gen, CscMatrix};
 use trisolv_server::batch::{BatchLane, BatchOptions};
+use trisolv_server::protocol::Builder;
 use trisolv_server::store::{
     decode_snapshot, encode_snapshot, section_boundaries, DropReason, FactorStore, StoreOptions,
-    PRECISION_F64, SNAPSHOT_MAGIC,
+    PRECISION_F32, PRECISION_F64, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
-use trisolv_server::{FactorEntry, FaultPlan, Fingerprint, SolverLane};
+use trisolv_server::{Engine, EngineOptions, FactorEntry, FaultPlan, Fingerprint, SolverLane};
 
 fn entry_for(spec: &str) -> Arc<FactorEntry> {
     let a = gen::from_spec(spec).unwrap();
@@ -356,10 +359,10 @@ fn unknown_precision_tag_is_corrupt_and_future_version_is_stale() {
     });
     assert_eq!(drop_reason(&bad_tag, fp), DropReason::Corrupt);
 
-    // version 3 exactly (not just 0xff..): stale, never parsed
-    let mut v3 = bytes.clone();
-    v3[4..6].copy_from_slice(&3u16.to_le_bytes());
-    assert_eq!(drop_reason(&v3, fp), DropReason::Stale);
+    // the next version exactly (not just 0xff..): stale, never parsed
+    let mut next = bytes.clone();
+    next[4..6].copy_from_slice(&(SNAPSHOT_VERSION + 1).to_le_bytes());
+    assert_eq!(drop_reason(&next, fp), DropReason::Stale);
 
     // version 0 was never produced by any writer
     let mut v0 = bytes;
@@ -379,4 +382,127 @@ fn delete_unlinks_the_snapshot() {
     assert!(store.flush(Duration::from_secs(10)));
     assert!(snapshot_files(&dir).is_empty());
     assert!(store.recover().is_empty());
+}
+
+/// A snapshot image exactly as a version-1 or version-2 server wrote it:
+/// the factor values in the *fundamental* supernode partition of the
+/// default ordering (the layout before the relaxed production partition),
+/// in `f64` or demoted to `f32` (version 2 only), under that version's
+/// header. Returns the image and its factor-value count.
+fn pre_relaxation_image(a: &CscMatrix, version: u16, f32_lane: bool) -> (Vec<u8>, usize) {
+    assert!(version == 2 || !f32_lane, "version 1 predates the f32 lane");
+    let perm = nd::nested_dissection(&Graph::from_sym_lower(a), nd::NdOptions::default());
+    let an = analyze_with_perm(a, &perm);
+    let f = factor_supernodal(&an.pa, &an.part).unwrap();
+    let opts = FactorOptions::default();
+    let mut b = Builder::new()
+        .fingerprint(Fingerprint::of_matrix(a))
+        .u8(u8::from(opts.regularize))
+        .f64(opts.beta);
+    if version >= 2 {
+        b = b.u8(if f32_lane {
+            PRECISION_F32
+        } else {
+            PRECISION_F64
+        });
+    }
+    b = b
+        .u64(a.nrows() as u64)
+        .u64(a.nnz() as u64)
+        .usize_slice(a.colptr())
+        .usize_slice(a.rowidx())
+        .f64_slice(a.values());
+    if f32_lane {
+        let d = f.demote();
+        b = b
+            .fingerprint(Fingerprint::of_value_slices_f32(
+                (0..d.nsup()).map(|s| d.values(s)),
+            ))
+            .u64(d.value_count() as u64);
+        for s in 0..d.nsup() {
+            b = b.f32_slice(d.values(s));
+        }
+    } else {
+        b = b
+            .fingerprint(Fingerprint::of_value_slices(
+                (0..f.nsup()).map(|s| f.block(s).as_slice()),
+            ))
+            .u64(f.value_count() as u64);
+        for s in 0..f.nsup() {
+            b = b.f64_slice(f.block(s).as_slice());
+        }
+    }
+    b = b.u64(f.perturbations().len() as u64);
+    for &(col, delta) in f.perturbations() {
+        b = b.u64(col as u64).f64(delta);
+    }
+    let payload = b.build();
+    let mut out = Vec::with_capacity(6 + payload.len() + 16);
+    out.extend_from_slice(&SNAPSHOT_MAGIC);
+    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&payload);
+    out.extend_from_slice(&Fingerprint::of_bytes(&payload).to_bytes());
+    (out, f.value_count())
+}
+
+#[test]
+fn pre_relaxation_snapshots_are_refactored_and_rewritten_as_current() {
+    // Files written before the relaxed partition hold values in the
+    // fundamental layout. Recovery must not reuse them (the value count
+    // does not even match), but must not drop the file either: it
+    // refactors from the verified matrix into the recorded lane, counts
+    // the entry as recovered, and the engine rewrites the file.
+    let a = gen::from_spec("grid2d:12").unwrap();
+    let fp = Fingerprint::of_matrix(&a);
+    let fresh = SparseCholeskySolver::factor(&a).unwrap();
+    let b = gen::random_rhs(a.ncols(), 2, 21);
+    for (version, f32_lane) in [(1u16, false), (2, false), (2, true)] {
+        let tag = format!("v{version}-fundamental-{f32_lane}");
+        let (image, nvals) = pre_relaxation_image(&a, version, f32_lane);
+        assert_ne!(
+            nvals,
+            fresh.factor_matrix().value_count(),
+            "{tag}: the old layout differs from the production one"
+        );
+        let want = if f32_lane {
+            fresh.demote().solve(&b)
+        } else {
+            fresh.solve(&b)
+        };
+
+        let rec = decode_snapshot(&image, fp).expect("pre-relaxation image recovers");
+        assert!(rec.upgraded, "{tag}");
+        assert_eq!(rec.solver.is_f32(), f32_lane, "{tag}: recorded lane kept");
+        assert_eq!(
+            rec.solver.solve(&b),
+            want,
+            "{tag}: answers like a fresh factor"
+        );
+        assert_eq!(rec.checksum, rec.solver.digest(), "{tag}");
+
+        // through the store scan and the engine's warm restart
+        let dir = temp_dir(&tag);
+        fs::write(dir.join(format!("{fp}.factor")), &image).unwrap();
+        let store = FactorStore::open(StoreOptions::new(&dir), FaultPlan::default()).unwrap();
+        let engine = Engine::with_store(
+            EngineOptions::default(),
+            FaultPlan::default(),
+            Some(Arc::clone(&store)),
+        );
+        assert!(store.flush(Duration::from_secs(10)));
+        let stats = engine.stats();
+        assert_eq!(stats.persist_recovered, 1, "{tag}");
+        assert_eq!(stats.persist_dropped, 0, "{tag}");
+        assert_eq!(
+            store.writes(),
+            1,
+            "{tag}: rewritten by the write-behind thread"
+        );
+        let bytes = fs::read(dir.join(format!("{fp}.factor"))).unwrap();
+        assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), SNAPSHOT_VERSION);
+        let rec = decode_snapshot(&bytes, fp).expect("rewritten snapshot decodes");
+        assert!(!rec.upgraded, "{tag}: the rewrite restores values verbatim");
+        assert_eq!(rec.solver.is_f32(), f32_lane, "{tag}");
+        assert_eq!(rec.solver.solve(&b), want, "{tag}");
+    }
 }

@@ -237,22 +237,26 @@ impl SupernodePartition {
     /// contiguously, `rows[..t] == cols`, child below-rows nest in the
     /// parent's row set).
     pub fn amalgamate(&self, relax_abs: usize, relax_frac: f64) -> SupernodePartition {
-        #[derive(Clone)]
+        /// A run of consecutive columns plus the supernode whose below rows
+        /// it shares: absorbing a child never changes the parent's below
+        /// set, so the full row list is only materialized once at the end.
         struct Node {
             first: usize,
             last: usize, // inclusive
-            rows: Vec<usize>,
+            /// original supernode whose `below_rows` this node inherits
+            below_of: usize,
             /// cumulative explicit zeros padded in by merges below here
             padding: usize,
         }
-        let stored = |t: usize, ns: usize| -> usize { (0..t).map(|k| ns - k).sum() };
+        // stored entries of a `t`-wide, `ns`-tall trapezoid: Σ_{k<t} (ns − k)
+        let stored = |t: usize, ns: usize| -> usize { t * ns - t * (t - 1) / 2 };
         let mut result: Vec<Node> = Vec::new();
         for s in 0..self.nsup() {
             let cols = self.cols(s);
             let mut node = Node {
                 first: cols.start,
                 last: cols.end - 1,
-                rows: self.rows(s).to_vec(),
+                below_of: s,
                 padding: 0,
             };
             // repeatedly absorb the previously-emitted node if it is this
@@ -262,39 +266,35 @@ impl SupernodePartition {
                     break;
                 }
                 // prev's tree parent = supernode of its first below row
-                let prev_t = prev.last + 1 - prev.first;
-                let prev_parent_col = prev.rows.get(prev_t).copied();
-                if prev_parent_col
-                    .map(|c| !(node.first..=node.last).contains(&c))
+                let prev_below = self.below_rows(prev.below_of);
+                if prev_below
+                    .first()
+                    .map(|c| !(node.first..=node.last).contains(c))
                     .unwrap_or(true)
                 {
                     break;
                 }
                 // merged pattern: prev's columns followed by node's rows
-                let merged_t = prev_t + (node.last + 1 - node.first);
-                let mut merged_rows: Vec<usize> = (prev.first..=prev.last).collect();
-                merged_rows.extend_from_slice(&node.rows);
-                let before = stored(prev_t, prev.rows.len())
-                    + stored(node.last + 1 - node.first, node.rows.len());
-                let after = stored(merged_t, merged_rows.len());
+                let prev_t = prev.last + 1 - prev.first;
+                let node_t = node.last + 1 - node.first;
+                let node_h = node_t + self.below_rows(node.below_of).len();
+                let before = stored(prev_t, prev_t + prev_below.len()) + stored(node_t, node_h);
+                let after = stored(prev_t + node_t, prev_t + node_h);
                 // bound the CUMULATIVE zero fraction of the merged node, so
                 // merge chains cannot compound padding indefinitely
                 let total_padding = after - before + prev.padding + node.padding;
                 if total_padding > relax_abs + (relax_frac * after as f64) as usize {
                     break;
                 }
-                // check every below row of prev lands inside the merge
+                // every below row of prev lands inside the merge
                 // (guaranteed by the tree relation, asserted in debug)
-                debug_assert!(prev.rows[prev_t..]
+                debug_assert!(prev_below
                     .iter()
-                    .all(|r| merged_rows.binary_search(r).is_ok()));
+                    .all(|r| (node.first..=node.last).contains(r)
+                        || self.below_rows(node.below_of).binary_search(r).is_ok()));
                 let prev = result.pop().expect("non-empty");
-                node = Node {
-                    first: prev.first,
-                    last: node.last,
-                    rows: merged_rows,
-                    padding: total_padding,
-                };
+                node.first = prev.first;
+                node.padding = total_padding;
             }
             result.push(node);
         }
@@ -304,21 +304,24 @@ impl SupernodePartition {
         first_col.push(n);
         let mut snode_of_col = vec![0usize; n];
         for (si, nd) in result.iter().enumerate() {
-            for c in nd.first..=nd.last {
-                snode_of_col[c] = si;
-            }
+            snode_of_col[nd.first..=nd.last].fill(si);
         }
         let mut parent = vec![NONE; result.len()];
+        let mut rows = Vec::with_capacity(result.len());
         for (si, nd) in result.iter().enumerate() {
-            let t = nd.last + 1 - nd.first;
-            if let Some(&below0) = nd.rows.get(t) {
+            let below = self.below_rows(nd.below_of);
+            if let Some(&below0) = below.first() {
                 parent[si] = snode_of_col[below0];
             }
+            let mut r = Vec::with_capacity(nd.last + 1 - nd.first + below.len());
+            r.extend(nd.first..=nd.last);
+            r.extend_from_slice(below);
+            rows.push(r);
         }
         SupernodePartition {
             first_col,
             snode_of_col,
-            rows: result.into_iter().map(|nd| nd.rows).collect(),
+            rows,
             parent,
         }
     }
